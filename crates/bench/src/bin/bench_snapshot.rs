@@ -22,6 +22,14 @@
 //! machine-load drift over the run hits every side of a comparison
 //! equally, so the ratios `scripts/bench.sh` gates on measure the code,
 //! not the weather.
+//!
+//! The `cold_start` rows time what every process pays before its first
+//! parse: the interleaved `artifacts_built` / `artifacts_baked` pair
+//! (C parse artifacts from a run-time LALR build vs from the tables
+//! baked at compile time; `scripts/bench.sh` gates the ratio at
+//! BAKED_MIN) and `oneshot_tiny`, the wall time of the release `superc`
+//! binary on a one-declaration unit (skipped with a note when that
+//! binary has not been built next to this one).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -29,6 +37,7 @@ use std::time::Instant;
 
 use superc::analyze::LintOptions;
 use superc::bdd::BddStats;
+use superc::csyntax::{baked_c_grammar, build_c_grammar, CArtifacts};
 use superc::report::TextTable;
 use superc::{
     Budgets, CondBackend, CorpusOptions, CorpusReport, CorpusRunner, MemFs, Options, ParseStats,
@@ -563,9 +572,68 @@ fn assert_behavior_identical_modulo_fastpath(on: &Snapshot, off: &Snapshot) {
     );
 }
 
+/// One-time costs: the first `c_artifacts()` call, corpus generation
+/// plus warmup passes, and the timed `cold_start` rows.
+struct ColdStart {
+    artifacts_millis: f64,
+    corpus_gen_millis: f64,
+    /// `(name, best-of-reps seconds)`.
+    rows: Vec<(&'static str, f64)>,
+}
+
+/// Best-of-`reps` seconds for building the C parse artifacts from a
+/// run-time LALR construction vs decoding the baked tables, interleaved
+/// so machine drift hits both legs. Both legs derive the seed and
+/// context tables too, exactly as `c_artifacts()` does.
+fn measure_artifacts(reps: usize) -> (f64, f64) {
+    let time = |grammar: fn() -> superc::grammar::Grammar| {
+        let start = Instant::now();
+        std::hint::black_box(CArtifacts::new(grammar()));
+        start.elapsed().as_secs_f64()
+    };
+    let (mut built, mut baked) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        built = built.min(time(build_c_grammar));
+        baked = baked.min(time(baked_c_grammar));
+    }
+    (built, baked)
+}
+
+/// Best-of-`reps` wall seconds of the `superc` binary next to this one
+/// on a one-declaration unit: process start, artifact loading, one tiny
+/// parse. `None` when that binary is missing.
+fn measure_oneshot_tiny(reps: usize) -> Option<f64> {
+    let exe = std::env::current_exe().ok()?.with_file_name("superc");
+    if !exe.is_file() {
+        eprintln!(
+            "oneshot_tiny skipped: {} not built (cargo build --release -p superc --bin superc)",
+            exe.display()
+        );
+        return None;
+    }
+    let dir = std::env::temp_dir().join(format!("superc-oneshot-tiny-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create oneshot_tiny dir");
+    std::fs::write(dir.join("tiny.c"), "int tiny;\n").expect("write oneshot_tiny unit");
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let status = std::process::Command::new(&exe)
+            .arg("tiny.c")
+            .current_dir(&dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("spawn superc");
+        best = best.min(start.elapsed().as_secs_f64());
+        assert!(status.success(), "oneshot_tiny: superc failed on tiny.c");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Some(best)
+}
+
 /// Minimal JSON encoding — flat structure, numeric leaves only, so no
 /// escaping machinery is needed.
-fn to_json(snaps: &[Snapshot], setup_millis: u64) -> String {
+fn to_json(snaps: &[Snapshot], cold: &ColdStart) -> String {
     let mut s = String::from("{\n  \"workloads\": [\n");
     for (i, w) in snaps.iter().enumerate() {
         let _ = write!(
@@ -636,13 +704,22 @@ fn to_json(snaps: &[Snapshot], setup_millis: u64) -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    // Cold-start rows carry no tokens_per_sec, so bench.sh's cross-run
+    // throughput compare never sees them; BAKED_MIN reads their seconds.
+    s.push_str("  ],\n  \"cold_start\": [\n");
+    for (i, (name, seconds)) in cold.rows.iter().enumerate() {
+        let _ = write!(s, "    {{\"name\": \"{name}\", \"seconds\": {seconds:.6}}}");
+        s.push_str(if i + 1 < cold.rows.len() { ",\n" } else { "\n" });
+    }
     let _ = write!(
         s,
         "  ],\n  \"machine_cores\": {cores},\n  \
          \"seq_tokens_per_sec\": {:.1},\n  \"par_tokens_per_sec\": {:.1},\n  \
-         \"setup_millis\": {setup_millis}\n}}\n",
+         \"artifacts_millis\": {:.1},\n  \"corpus_gen_millis\": {:.0}\n}}\n",
         class_rate(false),
         class_rate(true),
+        cold.artifacts_millis,
+        cold.corpus_gen_millis,
     );
     s
 }
@@ -685,13 +762,15 @@ fn main() {
         }
     }
 
-    // Everything up to the first timed rep is setup: shared-artifact
-    // construction (grammar tables, classification seed, context
-    // tables), corpus generation, and the untimed warmup passes. It is
-    // reported as `setup_millis` so the snapshot separates one-time cost
-    // from steady-state throughput.
-    let setup_start = Instant::now();
+    // Everything up to the first timed rep is one-time cost, reported in
+    // two parts so neither hides the other: `artifacts_millis` is the
+    // first `c_artifacts()` call (what every process pays before its
+    // first parse), `corpus_gen_millis` is generating the bench corpora
+    // plus the untimed warmup passes (bench-only work).
+    let artifacts_start = Instant::now();
     warm_up();
+    let artifacts_millis = artifacts_start.elapsed().as_secs_f64() * 1e3;
+    let corpus_start = Instant::now();
     let full = full_corpus();
     let fig9 = fig9_corpus();
     let headers = full_headers_corpus();
@@ -723,7 +802,7 @@ fn main() {
         ));
         std::hint::black_box(run_profiles(&prof_corpus, &profile_matrix, par_jobs));
     }
-    let setup_millis = setup_start.elapsed().as_millis() as u64;
+    let corpus_gen_millis = corpus_start.elapsed().as_secs_f64() * 1e3;
 
     // Every gated pair interleaves its reps (see the module docs): the
     // full/full_par pair here, fig9/fig9_governed/fig9_par below, the
@@ -863,6 +942,18 @@ fn main() {
     // Fastpath on/off must be behavior-identical modulo the gauges that
     // define the difference (merge probes, fastpath counters).
     assert_behavior_identical_modulo_fastpath(&condfree_on, &condfree_off);
+    let (artifacts_built, artifacts_baked) = measure_artifacts(pair_reps);
+    let mut cold = ColdStart {
+        artifacts_millis,
+        corpus_gen_millis,
+        rows: vec![
+            ("artifacts_built", artifacts_built),
+            ("artifacts_baked", artifacts_baked),
+        ],
+    };
+    if let Some(secs) = measure_oneshot_tiny(pair_reps) {
+        cold.rows.push(("oneshot_tiny", secs));
+    }
     let mut snaps = vec![
         full_seq,
         fig9_seq,
@@ -918,11 +1009,24 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
+    let mut t = TextTable::new(&["cold start", "ms"]);
+    t.row(&[
+        "artifacts (first call)".to_string(),
+        format!("{:.2}", cold.artifacts_millis),
+    ]);
+    t.row(&[
+        "corpus gen + warmup".to_string(),
+        format!("{:.0}", cold.corpus_gen_millis),
+    ]);
+    for (name, secs) in &cold.rows {
+        t.row(&[name.to_string(), format!("{:.2}", secs * 1e3)]);
+    }
+    print!("{}", t.render());
 
     if write_json || out_path.is_some() {
         let path = out_path
             .unwrap_or_else(|| format!("{}/../../BENCH_fmlr.json", env!("CARGO_MANIFEST_DIR")));
-        let json = to_json(&snaps, setup_millis);
+        let json = to_json(&snaps, &cold);
         std::fs::write(&path, json).expect("write snapshot");
         // Canonicalize purely for display; the write used the raw path.
         let shown = std::fs::canonicalize(&path)

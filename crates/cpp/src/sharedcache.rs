@@ -514,30 +514,35 @@ impl SharedCache {
     /// `None` for a missing file); the freshly read contents are handed
     /// back so the caller can lex them without a second read. Returns
     /// `None` when the file does not exist.
+    ///
+    /// A miss under the read lock is re-checked under the shard's write
+    /// lock before reading, so workers racing on one path in one
+    /// generation read and hash it once: the losers find the winner's
+    /// memo row and get `(hash, None)`, and
+    /// [`SharedCache::rehashes`] counts each file at most once per
+    /// generation.
     pub fn current_hash(
         &self,
         path: &str,
         read: impl FnOnce() -> Option<Arc<str>>,
     ) -> Option<(u64, Option<Arc<str>>)> {
         let gen = self.generation();
-        {
-            let memo = self
-                .hash_shard(path)
-                .read()
-                .expect("shared cache shard poisoned");
-            if let Some(&(g, h)) = memo.get(path) {
-                if g == gen {
-                    return Some((h, None));
-                }
-            }
+        let memo_hit = |memo: &FastMap<String, (u64, u64)>| match memo.get(path) {
+            Some(&(g, h)) if g == gen => Some(h),
+            _ => None,
+        };
+        let shard = self.hash_shard(path);
+        if let Some(h) = memo_hit(&shard.read().expect("shared cache shard poisoned")) {
+            return Some((h, None));
+        }
+        let mut memo = shard.write().expect("shared cache shard poisoned");
+        if let Some(h) = memo_hit(&memo) {
+            return Some((h, None));
         }
         let src = read()?;
         let h = SharedCache::content_hash(src.as_bytes());
         self.rehashes.fetch_add(1, Ordering::Relaxed);
-        self.hash_shard(path)
-            .write()
-            .expect("shared cache shard poisoned")
-            .insert(path.to_string(), (gen, h));
+        memo.insert(path.to_string(), (gen, h));
         Some((h, Some(src)))
     }
 

@@ -980,6 +980,35 @@ fn hash_memo_rereads_only_across_generations() {
 }
 
 #[test]
+fn racing_hash_memo_misses_rehash_once() {
+    // Eight workers miss the memo for one path in one generation at the
+    // same moment: the write-locked re-check lets exactly one read and
+    // hash it; the rest get the memoized hash without contents.
+    let cache = SharedCache::new();
+    let start = std::sync::Barrier::new(8);
+    let results: Vec<(u64, bool)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let (h, src) = cache
+                        .current_hash("a.h", || Some(std::sync::Arc::<str>::from("int a;\n")))
+                        .expect("exists");
+                    (h, src.is_some())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker"))
+            .collect()
+    });
+    assert_eq!(cache.rehashes(), 1);
+    assert_eq!(results.iter().filter(|&&(_, read)| read).count(), 1);
+    assert!(results.iter().all(|&(h, _)| h == results[0].0));
+}
+
+#[test]
 fn sweep_evicts_dead_hashes_and_keeps_live_ones() {
     let files = [
         ("main.c", "#include \"g.h\"\nint x = N;\n"),

@@ -44,13 +44,14 @@
 
 mod context;
 mod grammar;
+mod grammar_def;
 mod keywords;
 mod query;
 mod seed;
 mod symtab;
 
 pub use context::{CContext, CtxTables};
-pub use grammar::{c_artifacts, c_grammar, CArtifacts};
+pub use grammar::{baked_c_grammar, build_c_grammar, c_artifacts, c_grammar, CArtifacts};
 pub use keywords::classify;
 pub use query::{
     declared_names, first_declarator_ident, first_declarator_tok, function_definitions,

@@ -38,7 +38,7 @@ pub enum AstBuild {
 }
 
 /// One production after building: `lhs -> rhs`, with its annotations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Production {
     /// Left-hand-side nonterminal.
     pub lhs: SymbolId,

@@ -7,7 +7,7 @@
 //! source; a fixpoint over the propagation graph then yields full LALR(1)
 //! lookahead sets, from which reduce actions are derived.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Encoded symbol: `< num_terminals` is a terminal, otherwise a
 /// nonterminal offset by the terminal count.
@@ -241,7 +241,9 @@ pub fn build(g: &LalrInput) -> Automaton {
     let mut i = 0;
     while i < kernels.len() {
         let items = closure0(&ctx, &kernels[i]);
-        let mut by_sym: HashMap<Sym, Vec<Item>> = HashMap::new();
+        // Ordered by symbol so state numbering is a pure function of the
+        // grammar: tables built at compile time and at run time agree.
+        let mut by_sym: BTreeMap<Sym, Vec<Item>> = BTreeMap::new();
         for (p, dot) in items {
             if let Some(&s) = ctx.g.prods[p as usize].1.get(dot as usize) {
                 by_sym.entry(s).or_default().push((p, dot + 1));

@@ -13,6 +13,12 @@
 //! actions: `layout`, `passthrough`, `list`, plus the `complete` marking
 //! that controls where subparsers may merge.
 //!
+//! Like Bison's output, tables can be generated ahead of time:
+//! [`ParseTables::encode`] writes them as a flat byte blob and
+//! [`Grammar::decode`] loads it without running LALR construction (the C
+//! grammar's tables are baked this way by `superc-csyntax`'s build
+//! script).
+//!
 //! # Examples
 //!
 //! ```
@@ -31,6 +37,7 @@
 //! ```
 
 mod builder;
+mod codec;
 mod lalr;
 mod table;
 

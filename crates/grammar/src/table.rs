@@ -10,16 +10,18 @@ use std::sync::Arc;
 use crate::builder::{Assoc, AstBuild, GrammarBuilder, GrammarError, Production};
 use crate::lalr::{self, LalrInput};
 
-/// Process-wide count of LALR table constructions ([`build_grammar`]
-/// runs). Table construction is the expensive one-time artifact every
-/// parse shares; corpus drivers are expected to build it **once per
-/// process** and `Arc`-share it across workers, and
+/// Process-wide count of [`ParseTables`] materializations: LALR
+/// constructions ([`GrammarBuilder::build`]) and decodes of baked tables
+/// ([`Grammar::decode`]) alike. Materializing the tables is the one-time
+/// artifact every parse shares; corpus drivers are expected to do it
+/// **once per process** and `Arc`-share the result across workers, and
 /// `tests/shared_artifacts.rs` asserts exactly that via this counter.
 static TABLES_BUILT: AtomicUsize = AtomicUsize::new(0);
 
-/// How many times LALR tables have been constructed in this process
-/// (across all grammars). A corpus run over the C grammar should leave
-/// this at 1 no matter how many workers it used.
+/// How many times parse tables have been materialized — built or
+/// decoded — in this process (across all grammars). A corpus run over
+/// the C grammar should leave this at 1 no matter how many workers it
+/// used.
 pub fn tables_built() -> usize {
     TABLES_BUILT.load(Ordering::SeqCst)
 }
@@ -44,7 +46,7 @@ pub enum Action {
 
 /// A resolved conflict, reported for grammar debugging (like Bison's
 /// `-Wconflicts` output).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Conflict {
     /// State where the conflict arose.
     pub state: u32,
@@ -58,23 +60,25 @@ pub struct Conflict {
 /// action/goto tables plus symbol and production metadata.
 ///
 /// This is the expensive, **shareable** layer: building the C grammar's
-/// tables costs orders of magnitude more than any single parse, so the
-/// tables are built once per process and handed out behind an `Arc`
-/// ([`Grammar`] is a cheap clonable handle). Everything here is plain
-/// data — no interior mutability — so `&ParseTables` is freely `Sync`
-/// across parser workers.
+/// tables costs orders of magnitude more than any single parse, so they
+/// are built ahead of time, decoded once per process
+/// ([`Grammar::decode`]), and handed out behind an `Arc` ([`Grammar`]
+/// is a cheap clonable handle). Everything here is plain data — no
+/// interior mutability — so `&ParseTables` is freely `Sync` across
+/// parser workers.
+#[derive(PartialEq)]
 pub struct ParseTables {
-    terminals: Vec<String>,
-    nonterminals: Vec<String>,
-    prods: Vec<Production>,
-    prod_rhs_len: Vec<u32>,
-    action: Vec<Action>,
-    goto_: Vec<u32>, // u32::MAX = none
-    num_states: u32,
-    eof: SymbolId,
-    complete: Vec<bool>,
-    conflicts: Vec<Conflict>,
-    by_name: HashMap<String, SymbolId>,
+    pub(crate) terminals: Vec<String>,
+    pub(crate) nonterminals: Vec<String>,
+    pub(crate) prods: Vec<Production>,
+    pub(crate) prod_rhs_len: Vec<u32>,
+    pub(crate) action: Vec<Action>,
+    pub(crate) goto_: Vec<u32>, // u32::MAX = none
+    pub(crate) num_states: u32,
+    pub(crate) eof: SymbolId,
+    pub(crate) complete: Vec<bool>,
+    pub(crate) conflicts: Vec<Conflict>,
+    pub(crate) by_name: HashMap<String, SymbolId>,
 }
 
 /// LALR(1) parse tables plus grammar metadata.
@@ -84,8 +88,8 @@ pub struct ParseTables {
 /// cloning it is a reference-count bump, so corpus drivers hand every
 /// worker the same tables instead of rebuilding them per worker. All
 /// table accessors live on [`ParseTables`] and are reachable through
-/// `Deref`.
-#[derive(Clone)]
+/// `Deref`. Two handles compare equal when their tables do.
+#[derive(Clone, PartialEq)]
 pub struct Grammar {
     tables: Arc<ParseTables>,
 }
@@ -401,31 +405,46 @@ pub(crate) fn build_grammar(b: &GrammarBuilder) -> Result<Grammar, GrammarError>
         }
     }
 
-    let mut by_name: HashMap<String, SymbolId> = HashMap::new();
-    for (i, t) in terminals.iter().enumerate() {
-        by_name.insert(t.clone(), SymbolId(i as u32));
+    Ok(ParseTables {
+        terminals,
+        nonterminals,
+        prods: out_prods,
+        prod_rhs_len: Vec::new(),
+        action,
+        goto_,
+        num_states,
+        eof: SymbolId(eof),
+        complete,
+        conflicts,
+        by_name: HashMap::new(),
     }
-    for (i, n) in nonterminals.iter().enumerate() {
-        by_name.insert(n.clone(), SymbolId(num_terms + i as u32));
-    }
+    .into_grammar())
+}
 
-    let prod_rhs_len = out_prods.iter().map(|p| p.rhs.len() as u32).collect();
-    TABLES_BUILT.fetch_add(1, Ordering::SeqCst);
-    Ok(Grammar {
-        tables: Arc::new(ParseTables {
-            terminals,
-            nonterminals,
-            prods: out_prods,
-            prod_rhs_len,
-            action,
-            goto_,
-            num_states,
-            eof: SymbolId(eof),
-            complete,
-            conflicts,
-            by_name,
-        }),
-    })
+impl ParseTables {
+    /// Fills the derived indexes (`by_name`, `prod_rhs_len`), counts the
+    /// materialization in [`tables_built`], and wraps the tables in a
+    /// shareable handle. Both construction and decoding end here.
+    pub(crate) fn into_grammar(mut self) -> Grammar {
+        let num_terms = self.terminals.len() as u32;
+        self.by_name = self
+            .terminals
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.clone(), SymbolId(i as u32)))
+            .chain(
+                self.nonterminals
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (n.clone(), SymbolId(num_terms + i as u32))),
+            )
+            .collect();
+        self.prod_rhs_len = self.prods.iter().map(|p| p.rhs.len() as u32).collect();
+        TABLES_BUILT.fetch_add(1, Ordering::SeqCst);
+        Grammar {
+            tables: Arc::new(self),
+        }
+    }
 }
 
 impl ParseTables {

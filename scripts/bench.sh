@@ -49,6 +49,14 @@
 # fig_daemon_cold speedup — the same edit-then-reparse workload served
 # by a long-running service Driver must beat a fresh one-shot run over
 # the identical tree, bounding the service layer's own overhead.
+#
+# Baked-tables gate: BAKED_MIN (default 10) is the minimum
+# artifacts_built vs artifacts_baked time ratio — loading the C parse
+# artifacts from the tables baked at build time must beat running LALR
+# construction in the process. The snapshot's cold_start rows also
+# record oneshot_tiny (release superc on a one-declaration unit), and
+# its artifacts_millis / corpus_gen_millis fields split the one-time
+# cost of the first c_artifacts() call from bench corpus generation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -206,6 +214,27 @@ self_gates() {
         fi
     fi
 
+    # Baked-tables gate: the interleaved cold_start pair times the C
+    # parse artifacts from a run-time LALR build (artifacts_built) and
+    # from the tables baked at build time (artifacts_baked); the baked
+    # load must be at least BAKED_MIN x faster.
+    local BAKED_MIN="${BAKED_MIN:-10}"
+    local built_secs baked_secs baked_ratio
+    built_secs=$(sed -n 's/.*"name": "artifacts_built", "seconds": \([0-9.]*\).*/\1/p' "$f")
+    baked_secs=$(sed -n 's/.*"name": "artifacts_baked", "seconds": \([0-9.]*\).*/\1/p' "$f")
+    if [[ -z "$built_secs" || -z "$baked_secs" ]]; then
+        echo "bench: artifacts_built/artifacts_baked pair missing from new snapshot" >&2
+        gfail=1
+    else
+        baked_ratio=$(awk -v b="$built_secs" -v k="$baked_secs" 'BEGIN { printf "%.1f", (k > 0 ? b / k : 1e9) }')
+        if awk -v r="$baked_ratio" -v fl="$BAKED_MIN" 'BEGIN { exit !(r >= fl) }'; then
+            echo "bench: artifacts built/baked ${baked_ratio}x (floor ${BAKED_MIN}x) OK"
+        else
+            echo "bench: artifacts built/baked ${baked_ratio}x below floor ${BAKED_MIN}x" >&2
+            gfail=1
+        fi
+    fi
+
     # Parallel-scaling gate on the kernel jobs ladder. The floors default
     # by core count: a near-linear expectation where the hardware can
     # deliver it. On a single core there is no parallelism to win — the
@@ -263,6 +292,8 @@ self_gates() {
 }
 
 cargo build --release -p superc-bench --bin bench_snapshot
+# oneshot_tiny spawns the release superc next to bench_snapshot.
+cargo build --release -p superc --bin superc
 
 if [[ "${1:-}" == "--update" ]]; then
     NEW=$(mktemp)
