@@ -250,18 +250,26 @@ pub fn portability_slice(
 /// ORed across profiles; if any per-profile condition is the
 /// non-invertible overflow form, the first present condition string is
 /// carried verbatim instead.
+///
+/// Slices that are all equal return no records without building the
+/// key map: equal slices align key by key with equal states, so no row
+/// could differ. This is the common case: most units see every profile
+/// alike.
 pub fn diff_profiles(
     profile_names: &[String],
-    slices: &[Vec<PortEntry>],
+    slices: &[&[PortEntry]],
     opts: &LintOptions,
     ctx: &CondCtx,
 ) -> Vec<Record> {
     assert_eq!(profile_names.len(), slices.len());
+    if slices.windows(2).all(|w| w[0] == w[1]) {
+        return Vec::new();
+    }
     let n = slices.len();
     let all_profiles = profile_names.join(",");
     let mut by_key: BTreeMap<&str, Vec<Option<&PortEntry>>> = BTreeMap::new();
     for (i, slice) in slices.iter().enumerate() {
-        for e in slice {
+        for e in slice.iter() {
             by_key.entry(&e.key).or_insert_with(|| vec![None; n])[i] = Some(e);
         }
     }

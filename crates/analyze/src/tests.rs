@@ -304,3 +304,75 @@ fn lint_codes_round_trip() {
     }
     assert_eq!(LintCode::parse("nope"), None);
 }
+
+// ---------------------------------------------------------------------
+// cross-profile diff
+// ---------------------------------------------------------------------
+
+/// `diff_profiles` over borrowed slices: all-equal slices emit nothing,
+/// and one changed row still yields the record the full key-by-key
+/// diff builds — including `<absent>` for a key one profile lacks.
+#[test]
+fn diff_profiles_over_borrowed_slices() {
+    use crate::portability::{diff_profiles, PortEntry, PortKind};
+    use crate::Record;
+
+    let entry = |kind, key: &str, line, state: &str| PortEntry {
+        kind,
+        key: key.to_string(),
+        file: "a.c".to_string(),
+        line,
+        col: 1,
+        state: state.to_string(),
+        cond: "defined(A)".to_string(),
+    };
+    let slice = vec![
+        entry(
+            PortKind::CondSite,
+            "conditional at a.c:3:1",
+            3,
+            "defined(A)",
+        ),
+        entry(
+            PortKind::Decl,
+            "declaration of x",
+            4,
+            "`int x` when defined(A)",
+        ),
+    ];
+    let names = ["p1", "p2", "p3"].map(str::to_string);
+    let ctx = CondCtx::new(CondBackend::Bdd);
+    let diff = |c: &[PortEntry]| {
+        diff_profiles(&names, &[&slice, &slice, c], &LintOptions::default(), &ctx)
+    };
+
+    assert_eq!(diff(&slice), []);
+
+    let mut changed = slice.clone();
+    changed[0].state = "defined(B)".to_string();
+    changed[0].cond = "defined(B)".to_string();
+    assert_eq!(
+        diff(&changed),
+        [Record {
+            code: "portability-divergent-condition",
+            level: "warn",
+            file: "a.c".to_string(),
+            line: 3,
+            col: 1,
+            cond: "defined(A) || !defined(A) && defined(B)".to_string(),
+            message: "conditional at a.c:3:1 differs across profiles: \
+                      defined(A) under {p1, p2}; defined(B) under {p3}"
+                .to_string(),
+            profiles: "p1,p2,p3".to_string(),
+        }]
+    );
+
+    let records = diff(&slice[..1]);
+    assert_eq!(records.len(), 1, "{records:#?}");
+    assert_eq!(records[0].code, "portability-divergent-decl");
+    assert_eq!(
+        records[0].message,
+        "declaration of x differs across profiles: \
+         `int x` when defined(A) under {p1, p2}; <absent> under {p3}"
+    );
+}

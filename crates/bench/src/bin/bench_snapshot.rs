@@ -50,6 +50,7 @@ use superc_bench::{
 use superc_kernelgen::Corpus;
 
 /// One measured workload.
+#[derive(Clone)]
 struct Snapshot {
     name: &'static str,
     /// Worker threads used (1 = the sequential driver).
@@ -439,6 +440,40 @@ fn measure_incremental(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, 
     )
 }
 
+/// A service driver holding `corpus`'s tree, committed as generation 1.
+fn populated_driver(corpus: &Corpus, jobs: usize) -> superc::service::Driver {
+    let mut driver = superc::service::Driver::new(options(), jobs);
+    for (path, contents) in corpus.fs.iter() {
+        driver
+            .set_file(path, contents)
+            .expect("generation 1 is open for population");
+    }
+    driver.end_generation().expect("commit the populated tree");
+    driver
+}
+
+/// Stages one edit generation through the driver's protocol: `edited`
+/// units spread across the corpus each gain a declaration named
+/// `{probe}_{i}`.
+fn edit_generation(
+    driver: &mut superc::service::Driver,
+    corpus: &Corpus,
+    edited: usize,
+    probe: &str,
+) {
+    use superc::FileSystem;
+    let n = corpus.units.len();
+    driver.begin_generation().expect("no request in flight");
+    for i in 0..edited {
+        let path = &corpus.units[i * n / edited];
+        let orig = corpus.fs.read(path).expect("unit exists");
+        driver
+            .set_file(path, &format!("{orig}\nint {probe}_{i};\n"))
+            .expect("generation is open");
+    }
+    driver.end_generation().expect("commit the edit batch");
+}
+
 /// The daemon pair (`fig_daemon_cold` / `fig_daemon`): a long-running
 /// [`superc::service::Driver`] — the engine behind `superc daemon` and
 /// the C API — populated once with the kernel-scale tree, then serving
@@ -456,15 +491,7 @@ fn measure_incremental(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, 
 /// ratio at DAEMON_MIN.
 fn measure_daemon(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, Snapshot) {
     use superc::corpus::process_corpus;
-    use superc::service::Driver;
-    use superc::FileSystem;
-    let mut driver = Driver::new(options(), jobs);
-    for (path, contents) in corpus.fs.iter() {
-        driver
-            .set_file(path, contents)
-            .expect("generation 1 is open for population");
-    }
-    driver.end_generation().expect("commit the populated tree");
+    let mut driver = populated_driver(corpus, jobs);
     let cold_opts = CorpusOptions {
         jobs,
         ..CorpusOptions::default()
@@ -477,15 +504,7 @@ fn measure_daemon(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, Snaps
     let mut best_cold: Option<Snapshot> = None;
     let mut best_warm: Option<Snapshot> = None;
     for r in 0..reps.max(1) {
-        driver.begin_generation().expect("no request in flight");
-        for i in 0..edited {
-            let path = &corpus.units[i * n / edited];
-            let orig = corpus.fs.read(path).expect("unit exists");
-            driver
-                .set_file(path, &format!("{orig}\nint daemon_probe_{r}_{i};\n"))
-                .expect("generation is open");
-        }
-        driver.end_generation().expect("commit the edit batch");
+        edit_generation(&mut driver, corpus, edited, &format!("daemon_probe_{r}"));
         let fresh_fs = Arc::clone(driver.fs());
         let cold = process_corpus(fresh_fs.as_ref(), &corpus.units, &options(), &cold_opts);
         let warm = driver.parse(&corpus.units).expect("parse request");
@@ -508,6 +527,105 @@ fn measure_daemon(corpus: &Corpus, reps: usize, jobs: usize) -> (Snapshot, Snaps
             best_cold = Some(c);
         }
         let w = report_snapshot("fig_daemon", warm);
+        if best_warm.as_ref().is_none_or(|b| w.seconds < b.seconds) {
+            best_warm = Some(w);
+        }
+    }
+    (
+        best_cold.expect("at least one rep"),
+        best_warm.expect("at least one rep"),
+    )
+}
+
+/// The daemon grid pair (`fig_daemon_grid_cold` / `fig_daemon_grid`):
+/// the `fig_daemon` setup, serving the 3-profile lint grid instead of a
+/// parse. Each rep edits the same ~1% of the kernel-scale tree, then
+/// interleaves a fresh `process_corpus_profiles` + `render_lint_profiles`
+/// (what `superc lint --profiles` does) with a warm
+/// [`superc::service::Driver::lint_rendered`] over the same profiles.
+/// Both sides are timed through rendering, so the pair covers the
+/// cross-profile merge, which a grid request pays even when every unit
+/// replays from the memo.
+///
+/// Per rep, the served stdout must be byte-identical to the fresh one,
+/// and exactly the edited units recompute under every profile. The warm
+/// row carries the cold row's work counters (the output is asserted
+/// identical; the driver hands back rendered bytes, not a report) with
+/// its own wall clock and memo counts. `scripts/bench.sh` gates the
+/// throughput ratio at DAEMON_GRID_MIN.
+fn measure_daemon_grid(
+    corpus: &Corpus,
+    profiles: &[Profile],
+    reps: usize,
+    jobs: usize,
+) -> (Snapshot, Snapshot) {
+    use superc::cli::{render_lint_profiles, LintFormat};
+    let mut driver = populated_driver(corpus, jobs);
+    let lint = LintOptions::default();
+    let cold_opts = CorpusOptions {
+        jobs,
+        lint: Some(lint.clone()),
+        ..CorpusOptions::default()
+    };
+    let n = corpus.units.len();
+    let edited = n.div_ceil(100);
+    let tasks = (n * profiles.len()) as u64;
+    // Fill the driver's memo before timing.
+    std::hint::black_box(
+        driver
+            .lint_rendered(&corpus.units, LintFormat::Json, profiles, &lint, false)
+            .expect("fill request"),
+    );
+    let mut best_cold: Option<Snapshot> = None;
+    let mut best_warm: Option<Snapshot> = None;
+    for r in 0..reps.max(1) {
+        edit_generation(&mut driver, corpus, edited, &format!("grid_probe_{r}"));
+        let fresh_fs = Arc::clone(driver.fs());
+        let start = Instant::now();
+        let report = superc::process_corpus_profiles(
+            fresh_fs.as_ref(),
+            &corpus.units,
+            &options(),
+            profiles,
+            &cold_opts,
+        );
+        let fresh = render_lint_profiles(&report, LintFormat::Json, &lint, false);
+        let cold_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let served = driver
+            .lint_rendered(&corpus.units, LintFormat::Json, profiles, &lint, false)
+            .expect("grid lint request");
+        let warm_secs = start.elapsed().as_secs_f64();
+        assert!(
+            served.stdout == fresh.stdout && served.stderr == fresh.stderr,
+            "fig_daemon_grid: the served grid drifted from a fresh run over the same tree"
+        );
+        let stats = driver.stats();
+        assert_eq!(
+            stats.unit_memo_hits,
+            tasks - (edited * profiles.len()) as u64,
+            "fig_daemon_grid: every untouched (unit, profile) must replay from the memo"
+        );
+        assert_eq!(
+            stats.unit_memo_misses,
+            (edited * profiles.len()) as u64,
+            "fig_daemon_grid: exactly the edited units recompute under every profile"
+        );
+        let c = Snapshot {
+            seconds: cold_secs,
+            ..profiles_snapshot("fig_daemon_grid_cold", report)
+        };
+        let w = Snapshot {
+            name: "fig_daemon_grid",
+            seconds: warm_secs,
+            unit_memo_hits: stats.unit_memo_hits,
+            unit_memo_misses: stats.unit_memo_misses,
+            files_rehashed: stats.files_rehashed,
+            ..c.clone()
+        };
+        if best_cold.as_ref().is_none_or(|b| c.seconds < b.seconds) {
+            best_cold = Some(c);
+        }
         if best_warm.as_ref().is_none_or(|b| w.seconds < b.seconds) {
             best_warm = Some(w);
         }
@@ -908,6 +1026,8 @@ fn main() {
     // The daemon/service pair: the same tree served by a long-running
     // Driver across edit generations vs fresh one-shot runs.
     let (daemon_cold, daemon_warm) = measure_daemon(&kernel, reps, par_jobs);
+    // The same driver setup serving the 3-profile lint grid.
+    let (grid_cold, grid_warm) = measure_daemon_grid(&kernel, &profile_matrix, reps, par_jobs);
     // The shared-cache workload pair: identical header-dominated corpus,
     // cache on vs off, so the snapshot records the cache's speedup and
     // hit rate (`scripts/bench.sh` gates on both). Always 8 workers, even
@@ -971,6 +1091,8 @@ fn main() {
         incr_warm,
         daemon_cold,
         daemon_warm,
+        grid_cold,
+        grid_warm,
     ];
     snaps.extend(kernel_snaps);
 

@@ -223,7 +223,9 @@ pub struct UnitReport {
     pub lints: Vec<superc_analyze::Record>,
     /// The unit's portability slice, when [`CorpusOptions::portability`]
     /// is set (plain data, canonical condition strings — deterministic).
-    pub portability: Vec<PortEntry>,
+    /// Shared, not owned: a memo replay and the cross-profile merge
+    /// bump a refcount instead of copying the rows.
+    pub portability: Arc<[PortEntry]>,
     /// Fatal preprocessor failure, if the unit never reached the parser.
     pub fatal: Option<String>,
     /// Structured failure row (fatal preprocessor error or caught
@@ -841,15 +843,17 @@ impl ProfilesReport {
         let ctx = CondCtx::new(CondBackend::Bdd);
         let n_units = self.runs.first().map_or(0, |r| r.units.len());
         for u in 0..n_units {
-            let slices: Vec<Vec<PortEntry>> = self
+            // Slices are borrowed; only a failed unit builds an owned
+            // copy, to carry its synthetic fatal row.
+            let fatal: Vec<Option<Vec<PortEntry>>> = self
                 .runs
                 .iter()
                 .map(|run| {
                     let unit = &run.units[u];
-                    let mut slice = unit.portability.clone();
-                    if let Some(f) = &unit.failure {
+                    unit.failure.as_ref().map(|f| {
                         // A unit fatal under this profile only is the
                         // bluntest divergence; give it a row to diff.
+                        let mut slice = unit.portability.to_vec();
                         slice.push(PortEntry {
                             kind: PortKind::Diag,
                             key: format!("unit {}: fatal {}", unit.path, f.stage),
@@ -859,9 +863,15 @@ impl ProfilesReport {
                             state: f.message.clone(),
                             cond: "true".to_string(),
                         });
-                    }
-                    slice
+                        slice
+                    })
                 })
+                .collect();
+            let slices: Vec<&[PortEntry]> = self
+                .runs
+                .iter()
+                .zip(&fatal)
+                .map(|(run, f)| f.as_deref().unwrap_or(&run.units[u].portability))
                 .collect();
             out.extend(diff_profiles(&self.profiles, &slices, opts, &ctx));
         }
@@ -1533,7 +1543,7 @@ impl UnitReport {
             errors: Vec::new(),
             diagnostics: Vec::new(),
             lints: Vec::new(),
-            portability: Vec::new(),
+            portability: Arc::default(),
             fatal: Some(message.to_string()),
             failure: Some(UnitFailure {
                 stage: stage.to_string(),
@@ -1573,9 +1583,9 @@ fn process_one<F: FileSystem>(
     // Same per-unit constraint applies to the portability slice (it
     // reads the macro table's definedness conditions).
     let portability = if copts.portability {
-        tool.portability_slice(&processed)
+        tool.portability_slice(&processed).into()
     } else {
-        Vec::new()
+        Arc::default()
     };
 
     let preprocessed = copts

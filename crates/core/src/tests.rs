@@ -207,6 +207,38 @@ mod corpus {
         assert!(default_jobs() >= 1);
     }
 
+    /// A warm replay shares each stored portability slice instead of
+    /// deep-copying it: two replays over an unchanged tree hand out the
+    /// same allocation per (unit, profile).
+    #[test]
+    fn warm_profile_replays_share_portability_slices() {
+        use crate::corpus::CorpusRunner;
+        let mut pool = CorpusRunner::new(&opts(), std::sync::Arc::new(fs()), 2, false);
+        let profiles = [
+            Profile::gcc_linux(),
+            Profile::clang_macos(),
+            Profile::msvc_windows(),
+        ];
+        let copts = CorpusOptions {
+            warm: true,
+            ..CorpusOptions::default()
+        };
+        pool.run_profiles(&units(), &profiles, &copts);
+        let r1 = pool.run_profiles(&units(), &profiles, &copts);
+        let r2 = pool.run_profiles(&units(), &profiles, &copts);
+        assert_eq!(r2.runs[0].unit_memo_hits, 9, "every task replays");
+        for (run1, run2) in r1.runs.iter().zip(&r2.runs) {
+            for (u1, u2) in run1.units.iter().zip(&run2.units) {
+                assert!(!u1.portability.is_empty(), "{}", u1.path);
+                assert!(
+                    std::sync::Arc::ptr_eq(&u1.portability, &u2.portability),
+                    "{}: replay copied the slice",
+                    u1.path
+                );
+            }
+        }
+    }
+
     #[test]
     fn corpus_table_renders() {
         let report = process_corpus(&fs(), &units(), &opts(), &CorpusOptions::default());

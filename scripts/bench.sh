@@ -50,6 +50,14 @@
 # by a long-running service Driver must beat a fresh one-shot run over
 # the identical tree, bounding the service layer's own overhead.
 #
+# Daemon grid gate: a fixed floor of 15 on the fig_daemon_grid vs
+# fig_daemon_grid_cold speedup — the 3-profile lint grid served warm by
+# a Driver, rendered, must beat a fresh process_corpus_profiles +
+# render over the identical tree. The warm side replays ~99% of the
+# (unit, profile) tasks, so it measures memo replay, cross-profile
+# merge and render. The floor sits between copied slices (~6x) and
+# shared ones (~35x).
+#
 # Baked-tables gate: BAKED_MIN (default 10) is the minimum
 # artifacts_built vs artifacts_baked time ratio — loading the C parse
 # artifacts from the tables baked at build time must beat running LALR
@@ -214,6 +222,27 @@ self_gates() {
         fi
     fi
 
+    # Daemon grid gate: the same edit-then-request shape as DAEMON_MIN,
+    # serving the 3-profile lint grid through rendering. Guards the
+    # warm cross-profile path: memo replays share their portability
+    # slices and equal slices skip the per-key diff.
+    local DAEMON_GRID_MIN=15
+    local g_warm g_cold g_ratio
+    g_warm=$(extract "$f" | awk '$1 == "fig_daemon_grid" { print $2 }')
+    g_cold=$(extract "$f" | awk '$1 == "fig_daemon_grid_cold" { print $2 }')
+    if [[ -z "$g_warm" || -z "$g_cold" ]]; then
+        echo "bench: fig_daemon_grid workload pair missing from new snapshot" >&2
+        gfail=1
+    else
+        g_ratio=$(awk -v on="$g_warm" -v off="$g_cold" 'BEGIN { printf "%.2f", on / off }')
+        if awk -v r="$g_ratio" -v fl="$DAEMON_GRID_MIN" 'BEGIN { exit !(r >= fl) }'; then
+            echo "bench: fig_daemon_grid served/one-shot speedup ${g_ratio}x (floor ${DAEMON_GRID_MIN}x) OK"
+        else
+            echo "bench: fig_daemon_grid served/one-shot speedup ${g_ratio}x below floor ${DAEMON_GRID_MIN}x" >&2
+            gfail=1
+        fi
+    fi
+
     # Baked-tables gate: the interleaved cold_start pair times the C
     # parse artifacts from a run-time LALR build (artifacts_built) and
     # from the tables baked at build time (artifacts_baked); the baked
@@ -332,12 +361,13 @@ while read -r name old_rate; do
     # throughput against a snapshot from another run re-introduces
     # exactly that drift (the uncached-lexing leg swings tens of percent
     # on a loaded box) without guarding anything the ratio gates don't.
-    # fig_incremental and fig_daemon themselves are skipped too: memo'd
-    # throughput measures almost no parsing work, so their absolute
-    # values are dominated by scheduler noise — the WARM_MIN and
-    # DAEMON_MIN ratio gates are their real contracts.
+    # fig_incremental, fig_daemon and fig_daemon_grid themselves are
+    # skipped too: memo'd throughput measures almost no parsing work, so
+    # their absolute values are dominated by scheduler noise — the
+    # WARM_MIN, DAEMON_MIN and DAEMON_GRID_MIN ratio gates are their
+    # real contracts.
     case "$name" in
-    *_nocache | *_nofp | *_profiles1 | *_cold | fig_incremental | fig_daemon) continue ;;
+    *_nocache | *_nofp | *_profiles1 | *_cold | fig_incremental | fig_daemon | fig_daemon_grid) continue ;;
     esac
     new_rate=$(extract "$NEW" | awk -v n="$name" '$1 == n { print $2 }')
     if [[ -z "$new_rate" ]]; then

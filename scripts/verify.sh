@@ -181,13 +181,13 @@ echo "verify: cross-profile lint byte-identity OK"
 
 # Daemon byte-identity: drive the real binary's `superc daemon` mode
 # over stdin/stdout (NDJSON, one response line per request) against the
-# kernel corpus, and byte-compare every parse/lint response with a
-# fresh one-shot CLI run over the same tree — including after an
-# on-disk edit announced with a notify-only edit generation. This is
-# the end-to-end version of tests/daemon.rs: same contract, but through
-# the real process boundary. The coproc gives synchronous
-# request/response turns, so disk edits between requests cannot race
-# the daemon's batch processing.
+# kernel corpus, and byte-compare every parse/lint response (the
+# 3-profile grid lint too) with a fresh one-shot CLI run over the same
+# tree — including after an on-disk edit announced with a notify-only
+# edit generation. This is the end-to-end version of tests/daemon.rs:
+# same contract, but through the real process boundary. The coproc
+# gives synchronous request/response turns, so disk edits between
+# requests cannot race the daemon's batch processing.
 DUNITS=()
 for u in "$KGEN_DIR"/src/*.c; do DUNITS+=("src/${u##*/}"); done
 DAEMON_UNITS=$(printf '"%s",' "${DUNITS[@]}")
@@ -236,6 +236,11 @@ daemon_check "parse" "{\"cmd\":\"parse\",\"units\":$DAEMON_UNITS}" \
     --jobs 4 "${DUNITS[@]}"
 daemon_check "lint" "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"json\"}" \
     lint --format json --jobs 4 "${DUNITS[@]}"
+# The cross-profile grid, served warm, against a fresh `--profiles` run.
+GRID_PROFILES='"profiles":["gcc-linux","clang-macos","msvc-windows"]'
+daemon_check "grid lint" \
+    "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"json\",$GRID_PROFILES}" \
+    lint --profiles gcc-linux,clang-macos,msvc-windows --format json --jobs 4 "${DUNITS[@]}"
 # Edit one unit on disk, announce it with a notify-only generation, and
 # require the next response to match a fresh run over the edited tree —
 # with exactly that unit recomputed and every other unit replayed from
@@ -258,6 +263,9 @@ if [[ $(jq -r .unit_memo_hits <<<"$stats") != $((${#DUNITS[@]} - 1)) ]]; then
     echo "verify: daemon must replay every untouched unit: $stats" >&2
     exit 1
 fi
+daemon_check "post-edit grid lint" \
+    "{\"cmd\":\"lint\",\"units\":$DAEMON_UNITS,\"format\":\"json\",$GRID_PROFILES}" \
+    lint --profiles gcc-linux,clang-macos,msvc-windows --format json --jobs 4 "${DUNITS[@]}"
 printf '%s\n' '{"cmd":"shutdown"}' >&"${DAEMON[1]}"
 IFS= read -r resp <&"${DAEMON[0]}"
 if [[ $(jq -r .shutdown <<<"$resp") != true ]]; then
