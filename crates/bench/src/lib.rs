@@ -265,20 +265,12 @@ pub fn process_corpus(corpus: &Corpus, options: Options) -> Vec<ProcessedUnit> {
 }
 
 /// Runs a corpus through the **parallel** pipeline (`superc::corpus`)
-/// with the given worker count (`0` = available parallelism), returning
-/// the corpus-level report with per-unit results in corpus order. Units
-/// that failed fatally stay in the report with zeroed counters; they are
-/// surfaced on stderr rather than aborting the run.
-pub fn process_corpus_parallel(
-    corpus: &Corpus,
-    options: Options,
-    jobs: usize,
-) -> superc::CorpusReport {
-    process_corpus_parallel_opts(corpus, options, jobs, false)
-}
-
-/// [`process_corpus_parallel`] with the shared preprocessing cache
-/// switchable, so benchmarks can measure cache-on vs cache-off.
+/// with the given worker count (`0` = available parallelism) and the
+/// shared preprocessing cache switchable, so benchmarks can measure
+/// cache-on vs cache-off. Returns the corpus-level report with per-unit
+/// results in corpus order; units that failed fatally stay in the
+/// report with zeroed counters and are surfaced on stderr rather than
+/// aborting the run.
 pub fn process_corpus_parallel_opts(
     corpus: &Corpus,
     options: Options,

@@ -89,8 +89,7 @@ use std::process::ExitCode;
 use superc::analyze::{LintCode, LintLevel, LintOptions};
 use superc::cli::{self, LintFormat, Rendered};
 use superc::corpus::{
-    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusReport, CorpusRunner,
-    ProfilesReport,
+    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusRunner,
 };
 use superc::service::Driver;
 use superc::{CondBackend, DiskFs, Options, ParserConfig, PpOptions, Profile, SuperC};
@@ -461,40 +460,28 @@ fn apply_edits(args: &Args, run: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// `--warm N` driver: one pooled [`CorpusRunner`], N warm batches with
-/// the scheduled `--edit`s applied at each batch boundary, returning
-/// only the final batch's report — the one the caller prints, and the
-/// one bench/verify scripts compare byte-for-byte against a cold run
-/// over the final tree.
-fn run_warm_corpus(args: &Args, copts: &CorpusOptions) -> Result<CorpusReport, String> {
-    let mut copts = copts.clone();
-    copts.warm = true;
-    let fs = std::sync::Arc::new(DiskFs::new("."));
-    let mut pool = CorpusRunner::new(&args.options, fs, args.jobs, args.no_shared_cache);
-    apply_edits(args, 1)?;
-    let mut report = pool.run(&args.files, &copts);
-    for run in 2..=args.warm {
-        apply_edits(args, run)?;
-        report = pool.run(&args.files, &copts);
-    }
-    Ok(report)
-}
-
-/// The cross-profile analogue of [`run_warm_corpus`].
-fn run_warm_profiles(
+/// `--warm N` driver: one pooled [`CorpusRunner`], N warm batches (each
+/// one call of `batch`, a plain or a cross-profile run) with the
+/// scheduled `--edit`s applied at each batch boundary, returning only
+/// the final batch's report — the one the caller prints, and the one
+/// bench/verify scripts compare byte-for-byte against a cold run over
+/// the final tree.
+fn run_warm<R>(
     args: &Args,
-    profiles: &[Profile],
     copts: &CorpusOptions,
-) -> Result<ProfilesReport, String> {
-    let mut copts = copts.clone();
-    copts.warm = true;
+    batch: impl Fn(&mut CorpusRunner<DiskFs>, &CorpusOptions) -> R,
+) -> Result<R, String> {
+    let copts = CorpusOptions {
+        warm: true,
+        ..copts.clone()
+    };
     let fs = std::sync::Arc::new(DiskFs::new("."));
     let mut pool = CorpusRunner::new(&args.options, fs, args.jobs, args.no_shared_cache);
     apply_edits(args, 1)?;
-    let mut report = pool.run_profiles(&args.files, profiles, &copts);
+    let mut report = batch(&mut pool, &copts);
     for run in 2..=args.warm {
         apply_edits(args, run)?;
-        report = pool.run_profiles(&args.files, profiles, &copts);
+        report = batch(&mut pool, &copts);
     }
     Ok(report)
 }
@@ -516,7 +503,9 @@ fn run_lint(args: &Args, lint: &LintArgs) -> ExitCode {
     };
     if !lint.profiles.is_empty() {
         let report = if args.warm > 0 {
-            match run_warm_profiles(args, &lint.profiles, &copts) {
+            match run_warm(args, &copts, |pool, c| {
+                pool.run_profiles(&args.files, &lint.profiles, c)
+            }) {
                 Ok(r) => r,
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -534,7 +523,7 @@ fn run_lint(args: &Args, lint: &LintArgs) -> ExitCode {
         ));
     }
     let report = if args.warm > 0 {
-        match run_warm_corpus(args, &copts) {
+        match run_warm(args, &copts, |pool, c| pool.run(&args.files, c)) {
             Ok(r) => r,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -570,7 +559,7 @@ fn run_parallel(args: &Args) -> ExitCode {
         warm: false,
     };
     let report = if args.warm > 0 {
-        match run_warm_corpus(args, &copts) {
+        match run_warm(args, &copts, |pool, c| pool.run(&args.files, c)) {
             Ok(r) => r,
             Err(msg) => {
                 eprintln!("{msg}");

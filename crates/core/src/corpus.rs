@@ -1,52 +1,73 @@
 //! Parallel corpus driver: parse many compilation units across worker
 //! threads, deterministically.
 //!
+//! # One engine, two launchers
+//!
+//! Every run is a **task grid**: unit `u` under profile `p` is task
+//! `t = p * units.len() + u`. A plain run is the grid with one profile,
+//! `options.pp.profile`; a cross-profile run
+//! ([`process_corpus_profiles`]) only adds rows. The engine has three
+//! parts:
+//!
+//! - a `Batch`: the units, the profiles, the per-batch
+//!   [`CorpusOptions`], one shared [`AtomicUsize`] cursor with its claim
+//!   granularity (see `chunk_size`), and, in warm mode, the unit result
+//!   memo with one options signature per profile;
+//! - a per-thread `Worker`: one lazily built tool per profile and
+//!   the one claim loop (memo lookup → panic firewall → memo store);
+//! - `assemble`: task-indexed worker outputs back into one
+//!   [`CorpusReport`] per profile, each in unit input order.
+//!
+//! Two thin launchers drive it. The **scoped** launcher behind
+//! [`process_corpus`] and [`process_corpus_profiles`] spins workers up
+//! and down per call over a borrowed `&F` — simple, and fine for
+//! one-shot runs; a lone worker runs on the caller's thread. The
+//! **pooled** launcher, [`CorpusRunner`], keeps its workers alive
+//! across batches over an `Arc<F>`: each worker's tools (L1 header
+//! cache, BDD manager, interner, parser engine) stay warm from batch to
+//! batch, so repeated runs over the same tree — benchmark reps, a watch
+//! loop, a daemon — skip the spin-up. A plain batch and a grid batch's
+//! equal profile share one tool.
+//!
 //! # Threading model
 //!
-//! The corpus is scheduled as a **chunked queue**: one shared
-//! [`AtomicUsize`] cursor over the unit list, each worker claiming the
-//! next run of unclaimed indices (see `chunk_size`) until the list is
-//! exhausted. Chunking amortizes the cursor traffic over several units;
-//! the chunks are small relative to the corpus, so slow units still
-//! never stall the queue behind a fixed pre-partition, and no unit is
-//! processed twice.
+//! Workers claim chunks of consecutive task indices off the cursor
+//! until the grid is exhausted. Chunking amortizes the cursor traffic
+//! over several tasks; the chunks are small relative to the grid, so
+//! slow units never stall the queue behind a fixed pre-partition,
+//! profiles interleave instead of running one after another, and no
+//! task is processed twice.
 //!
 //! What is *shared* read-only across workers — the immutable artifact
 //! layer, built once per process:
 //!
-//! - the file tree (`F: FileSystem + Sync`, borrowed as `&F` by
-//!   [`process_corpus`]'s scoped workers, or held as `Arc<F>` by a
-//!   [`CorpusRunner`]'s pooled workers — file contents are `Arc<str>`
-//!   handed out by reference-count bump);
+//! - the file tree (`F: FileSystem + Sync`, borrowed as `&F` by the
+//!   scoped launcher or held as `Arc<F>` by a pool — file contents are
+//!   `Arc<str>` handed out by reference-count bump);
 //! - the parse artifacts (`superc_csyntax::c_artifacts` is a `OnceLock`
 //!   static): the grammar's LALR action/goto tables behind
 //!   `Arc<ParseTables>`, the keyword/punctuator classification seed,
 //!   and the context plug-in's production tables;
-//! - the [`Options`] (plain data, cloned once per worker);
+//! - the [`Options`] (plain data, cloned once per tool);
 //! - the **shared preprocessing cache** (`superc_cpp::SharedCache`,
 //!   unless [`CorpusOptions::no_shared_cache`]): a map from a file's
 //!   **content hash** to its frozen token stream, directive tree, and
 //!   detected include guard, so each distinct file content is lexed
-//!   once per *process* instead of once per *worker*. Content keying
-//!   is also the invalidation story: an edited file hashes to a new
-//!   key and misses naturally, which is what lets a pooled runner
-//!   serve **warm re-runs** over an edited tree (see
+//!   once per *process* instead of once per *worker* or per profile
+//!   (these are pre-expansion artifacts, identical under every
+//!   profile). Content keying is also the invalidation story: an edited
+//!   file hashes to a new key and misses naturally, which is what lets
+//!   a pooled runner serve **warm re-runs** over an edited tree (see
 //!   [`CorpusOptions::warm`] and the unit result memo below).
 //!
-//! What is *per-worker*, created inside each thread and never shared —
-//! the mutable layer: the [`CondCtx`] (BDD manager or SAT state), the
-//! symbol interner, the preprocessor's macro table and L1 header cache,
-//! the conditional-expression memo, the reusable `CParser` engine state,
-//! and all statistics. Workers communicate only through the cursor, the
-//! shared cache's sharded `RwLock`s (off the hot path: one probe per
-//! `#include`), and their return values.
-//!
-//! [`process_corpus`] spins workers up and down per call — simple, and
-//! fine for one-shot runs. A [`CorpusRunner`] instead keeps a **pool**
-//! of workers alive across batches: each worker's tool (L1 header
-//! cache, BDD manager, interner, parser engine) stays warm from batch
-//! to batch, so repeated runs over the same tree — benchmark reps, a
-//! watch loop, a test matrix — skip the per-batch spin-up entirely.
+//! What is *per-worker*, created inside each thread and never shared
+//! (tools are `Rc`-based) — the mutable layer: the [`CondCtx`] (BDD
+//! manager or SAT state), the symbol interner, the preprocessor's macro
+//! table and L1 header cache, the conditional-expression memo, the
+//! reusable `CParser` engine state, and all statistics. Workers
+//! communicate only through the cursor, the shared cache's sharded
+//! `RwLock`s (off the hot path: one probe per `#include`), and their
+//! return values.
 //!
 //! # Incremental warm re-runs
 //!
@@ -90,7 +111,7 @@
 //! rendered conditions. `tests/parallel.rs` proves this for
 //! `--jobs 1/2/8`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Once};
@@ -385,67 +406,198 @@ pub fn process_corpus<F: FileSystem + Sync>(
     options: &Options,
     copts: &CorpusOptions,
 ) -> CorpusReport {
-    let requested = if copts.jobs == 0 {
-        default_jobs()
-    } else {
-        copts.jobs
-    };
-    let workers = requested.min(units.len()).max(1);
+    let profiles = [options.pp.profile.clone()];
+    run_scoped(fs, units, options, &profiles, copts.clone())
+        .pop()
+        .expect("one profile, one report")
+}
 
-    // One shared artifact cache for the whole corpus run; every worker
-    // gets a clone of the same `Arc`. The cache is content-hash keyed
-    // (see `superc_cpp::sharedcache` for the invalidation protocol),
-    // but a one-shot run never leaves its first generation: files only
-    // change at batch boundaries, and this driver has exactly one batch.
-    let shared: Option<Arc<SharedCache>> =
-        (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
+/// The cross-profile corpus rollup: one [`CorpusReport`] per profile,
+/// parallel to `profiles` and each in unit input order, sharing one
+/// wall clock (the runs are interleaved over one worker pool, not
+/// sequential).
+#[derive(Clone, Debug)]
+pub struct ProfilesReport {
+    /// Profile names, in run order (the order given to
+    /// [`process_corpus_profiles`]).
+    pub profiles: Vec<String>,
+    /// One full corpus report per profile, parallel to `profiles`.
+    pub runs: Vec<CorpusReport>,
+    /// Worker threads actually used (shared across all profiles).
+    pub workers: usize,
+    /// End-to-end wall clock for the whole cross-profile run.
+    pub wall: Duration,
+}
 
-    let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(units.len(), workers);
-    let outputs: Vec<WorkerOutput> = if workers == 1 {
-        vec![worker_loop(
-            fs,
-            units,
-            options,
-            copts,
-            shared.clone(),
-            &cursor,
-            chunk,
-        )]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let shared = shared.clone();
-                    s.spawn(|| worker_loop(fs, units, options, copts, shared, &cursor, chunk))
+impl ProfilesReport {
+    fn new(profiles: &[Profile], runs: Vec<CorpusReport>) -> ProfilesReport {
+        ProfilesReport {
+            profiles: profiles.iter().map(|p| p.name.clone()).collect(),
+            workers: runs[0].workers,
+            wall: runs[0].wall,
+            runs,
+        }
+    }
+
+    /// Units with a fatal failure under *any* profile.
+    pub fn fatal_units(&self) -> usize {
+        let n_units = self.runs.first().map_or(0, |r| r.units.len());
+        (0..n_units)
+            .filter(|&u| self.runs.iter().any(|r| r.units[u].fatal.is_some()))
+            .count()
+    }
+
+    /// Per-profile behavior counters, one line each (`name: counters`).
+    /// Byte-identical for any worker count or schedule, like
+    /// [`CorpusReport::behavior_counters`].
+    pub fn behavior_counters(&self) -> String {
+        self.profiles
+            .iter()
+            .zip(&self.runs)
+            .map(|(name, run)| format!("{name}: {}", run.behavior_counters()))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Merges the per-profile runs into one deterministic lint report:
+    ///
+    /// * ordinary lint records that are byte-identical across profiles
+    ///   collapse into one row stamped with the profile set they fired
+    ///   under (in run order);
+    /// * each unit's per-profile portability slices are diffed by
+    ///   [`diff_profiles`] into the `portability-*` records, with a
+    ///   synthetic row per fatal unit so a unit that dies under only
+    ///   some profiles surfaces as a divergence;
+    /// * everything is sorted by [`sort_records`]'s total order.
+    ///
+    /// Conditions cross profiles as canonical strings and are re-ORed in
+    /// a scratch BDD context, so the result is byte-identical for any
+    /// `jobs`, cache, or fast-path setting.
+    pub fn lint_records(&self, opts: &superc_analyze::LintOptions) -> Vec<superc_analyze::Record> {
+        type Key = (&'static str, &'static str, String, u32, u32, String, String);
+        let mut merged: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
+        for (p, run) in self.runs.iter().enumerate() {
+            for unit in &run.units {
+                for r in &unit.lints {
+                    let key = (
+                        r.code,
+                        r.level,
+                        r.file.clone(),
+                        r.line,
+                        r.col,
+                        r.cond.clone(),
+                        r.message.clone(),
+                    );
+                    let ps = merged.entry(key).or_default();
+                    if ps.last() != Some(&p) {
+                        ps.push(p);
+                    }
+                }
+            }
+        }
+        let mut out: Vec<superc_analyze::Record> = merged
+            .into_iter()
+            .map(|((code, level, file, line, col, cond, message), ps)| {
+                let profiles = ps
+                    .iter()
+                    .map(|&p| self.profiles[p].as_str())
+                    .collect::<Vec<_>>()
+                    .join(",");
+                superc_analyze::Record {
+                    code,
+                    level,
+                    file,
+                    line,
+                    col,
+                    cond,
+                    message,
+                    profiles,
+                }
+            })
+            .collect();
+
+        // Portability diffs, one unit at a time. Conditions are lifted
+        // from canonical strings into a scratch context to OR them.
+        let ctx = CondCtx::new(CondBackend::Bdd);
+        let n_units = self.runs.first().map_or(0, |r| r.units.len());
+        for u in 0..n_units {
+            // Slices are borrowed; only a failed unit builds an owned
+            // copy, to carry its synthetic fatal row.
+            let fatal: Vec<Option<Vec<PortEntry>>> = self
+                .runs
+                .iter()
+                .map(|run| {
+                    let unit = &run.units[u];
+                    unit.failure.as_ref().map(|f| {
+                        // A unit fatal under this profile only is the
+                        // bluntest divergence; give it a row to diff.
+                        let mut slice = unit.portability.to_vec();
+                        slice.push(PortEntry {
+                            kind: PortKind::Diag,
+                            key: format!("unit {}: fatal {}", unit.path, f.stage),
+                            file: unit.path.clone(),
+                            line: 0,
+                            col: 0,
+                            state: f.message.clone(),
+                            cond: "true".to_string(),
+                        });
+                        slice
+                    })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("corpus worker panicked"))
-                .collect()
-        })
-    };
-    let wall = start.elapsed();
-    let mut report = assemble(units.len(), outputs, workers, wall);
-    if let Some(s) = &shared {
-        report.files_rehashed = s.rehashes();
+            let slices: Vec<&[PortEntry]> = self
+                .runs
+                .iter()
+                .zip(&fatal)
+                .map(|(run, f)| f.as_deref().unwrap_or(&run.units[u].portability))
+                .collect();
+            out.extend(diff_profiles(&self.profiles, &slices, opts, &ctx));
+        }
+        sort_records(&mut out);
+        out
     }
-    report
+}
+
+/// Parses every unit of a corpus under every [`Profile`], fanning the
+/// `units × profiles` task grid out over one set of workers.
+///
+/// Profile runs are scheduled like extra units (see the module docs):
+/// workers interleave profiles instead of running them sequentially,
+/// and a slow unit under one profile never stalls the others. Each
+/// worker builds a tool only for the profiles it actually claims tasks
+/// of, and all tools share one L2 preprocessing cache: frozen token
+/// streams, directive trees, and guards are pre-expansion artifacts,
+/// identical under every profile.
+///
+/// [`CorpusOptions::portability`] is forced on — the per-unit slices
+/// are what [`ProfilesReport::lint_records`] diffs. The determinism
+/// contract of [`process_corpus`] carries over per profile run.
+pub fn process_corpus_profiles<F: FileSystem + Sync>(
+    fs: &F,
+    units: &[String],
+    options: &Options,
+    profiles: &[Profile],
+    copts: &CorpusOptions,
+) -> ProfilesReport {
+    assert!(!profiles.is_empty(), "at least one profile");
+    let copts = CorpusOptions {
+        portability: true,
+        ..copts.clone()
+    };
+    ProfilesReport::new(profiles, run_scoped(fs, units, options, profiles, copts))
 }
 
 /// Cursor claim granularity: a worker claims this many consecutive
-/// units per atomic increment. One claim per unit is wasted traffic on
+/// tasks per atomic increment. One claim per task is wasted traffic on
 /// big corpora; claims that are too coarse re-create the pre-partition
 /// stall this queue exists to avoid. A target of ~8 claims per worker
 /// keeps the tail balanced, and a single worker just takes the whole
-/// list in one claim.
-fn chunk_size(n_units: usize, workers: usize) -> usize {
+/// grid in one claim.
+fn chunk_size(n_tasks: usize, workers: usize) -> usize {
     if workers <= 1 {
-        n_units.max(1)
+        n_tasks.max(1)
     } else {
-        (n_units / (workers * 8)).clamp(1, 32)
+        (n_tasks / (workers * 8)).clamp(1, 32)
     }
 }
 
@@ -573,121 +725,47 @@ fn options_sig(options: &Options, copts: &CorpusOptions) -> u64 {
     superc_util::FxBuildHasher::default().hash_one(desc.as_bytes())
 }
 
-/// The shared claim-and-process loop behind both drivers: pull chunks
-/// off `cursor` until the list is exhausted, firewalling each unit.
-///
-/// With `memo` set (a pooled warm re-run), each unit first consults
-/// the result memo — a hit replays the cached report and skips the
-/// pipeline entirely — and each recomputed unit is stored back with
-/// the include-closure fingerprint the preprocessor just observed.
-///
-/// On a caught panic the tool may hold arbitrary mid-unit state, so it
-/// is rebuilt via `make_tool` — only the **mutable layer** (BDD
-/// manager, interner, macro table, L1 cache, engine state); the shared
-/// artifacts and the L2 cache survive untouched.
-#[allow(clippy::too_many_arguments)]
-fn claim_loop<F: FileSystem>(
-    tool: &mut SuperC<F>,
-    make_tool: &dyn Fn() -> SuperC<F>,
-    units: &[String],
-    copts: &CorpusOptions,
-    memo: Option<(&UnitMemo, u64)>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-    out: &mut Vec<(usize, UnitReport)>,
-    memo_hits: &mut u64,
-    memo_misses: &mut u64,
-) {
-    loop {
-        let base = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if base >= units.len() {
-            break;
-        }
-        let end = (base + chunk).min(units.len());
-        for (i, path) in units[base..end].iter().enumerate() {
-            let i = base + i;
-            if let Some((memo, sig)) = memo {
-                if let Some(hit) = memo.lookup(path, sig, &|p| tool.preprocessor().dep_hash(p)) {
-                    *memo_hits += 1;
-                    out.push((i, hit));
-                    continue;
-                }
-                *memo_misses += 1;
-            }
-            // Panic firewall: a poisoned unit becomes a structured
-            // failure row instead of unwinding through the thread join.
-            let report = match firewalled(|| process_one(tool, path, copts)) {
-                Ok(report) => report,
-                Err(message) => {
-                    *tool = make_tool();
-                    UnitReport::failed(path, "panic", &format!("panic: {message}"))
-                }
-            };
-            if let Some((memo, sig)) = memo {
-                memo.store(
-                    path,
-                    sig,
-                    tool.preprocessor().unit_deps(),
-                    tool.preprocessor().unit_neg_deps(),
-                    &report,
-                );
-            }
-            out.push((i, report));
-        }
-    }
-}
-
-/// Reassembles worker outputs in input order and merges the counters:
-/// every index was claimed exactly once, and every merged counter is a
-/// sum or max, so the result is schedule-independent.
-fn assemble(
-    n_units: usize,
-    outputs: Vec<WorkerOutput>,
+/// One batch of the task grid: task `t` is unit `t % units.len()` under
+/// profile `t / units.len()`. Shared by every worker of the batch —
+/// borrowed by the scoped launcher, behind an `Arc` in a pool.
+struct Batch {
+    units: Vec<String>,
+    profiles: Vec<Profile>,
+    copts: CorpusOptions,
     workers: usize,
-    wall: Duration,
-) -> CorpusReport {
-    let mut slots: Vec<Option<UnitReport>> = (0..n_units).map(|_| None).collect();
-    let mut cond = CondStats::default();
-    let mut bdd: Option<BddStats> = None;
-    let mut pp = PpStats::default();
-    let mut parse = ParseStats::default();
-    let mut unit_memo_hits = 0u64;
-    let mut unit_memo_misses = 0u64;
-    for out in outputs {
-        for (i, report) in out.units {
-            debug_assert!(slots[i].is_none(), "unit {i} claimed twice");
-            slots[i] = Some(report);
-        }
-        cond.merge(&out.cond);
-        if let Some(b) = out.bdd {
-            bdd.get_or_insert_with(BddStats::default).merge(&b);
-        }
-        unit_memo_hits += out.memo_hits;
-        unit_memo_misses += out.memo_misses;
-    }
-    let units: Vec<UnitReport> = slots
-        .into_iter()
-        .map(|s| s.expect("every unit claimed"))
-        .collect();
-    for u in &units {
-        pp.merge(&u.pp);
-        parse.merge(&u.parse);
-    }
+    cursor: AtomicUsize,
+    chunk: usize,
+    /// Warm mode: the pool's unit result memo and one options signature
+    /// per profile (the profile is part of the signature).
+    memo: Option<(Arc<UnitMemo>, Vec<u64>)>,
+}
 
-    CorpusReport {
-        units,
-        pp,
-        parse,
-        cond,
-        bdd,
-        workers,
-        wall,
-        unit_memo_hits,
-        unit_memo_misses,
-        files_rehashed: 0,
+impl Batch {
+    /// A batch over `jobs` requested workers (`0` = [`default_jobs`]),
+    /// capped at the task count.
+    fn new(
+        units: &[String],
+        profiles: &[Profile],
+        copts: CorpusOptions,
+        jobs: usize,
+        memo: Option<(Arc<UnitMemo>, Vec<u64>)>,
+    ) -> Batch {
+        let n_tasks = units.len() * profiles.len();
+        let jobs = if jobs == 0 { default_jobs() } else { jobs };
+        let workers = jobs.min(n_tasks).max(1);
+        Batch {
+            units: units.to_vec(),
+            profiles: profiles.to_vec(),
+            copts,
+            workers,
+            cursor: AtomicUsize::new(0),
+            chunk: chunk_size(n_tasks, workers),
+            memo,
+        }
     }
 }
 
+/// One worker's share of a batch: its task-indexed reports plus gauges.
 struct WorkerOutput {
     units: Vec<(usize, UnitReport)>,
     cond: CondStats,
@@ -696,413 +774,139 @@ struct WorkerOutput {
     memo_misses: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<F: FileSystem + Sync>(
-    fs: &F,
-    units: &[String],
-    options: &Options,
-    copts: &CorpusOptions,
+/// One worker's mutable layer: a tool per profile, built lazily on the
+/// first task of that profile (a worker that never claims an
+/// `msvc-windows` task never pays for its tool) over the shared tree
+/// and attached to the shared L2 cache. Tools are `Rc`-based, so a
+/// `Worker` is built inside its own thread. A pooled worker keeps its
+/// tools warm across batches; a plain batch and a grid batch's equal
+/// profile share one tool.
+struct Worker<G: FileSystem> {
+    options: Options,
+    fs: G,
     shared: Option<Arc<SharedCache>>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-) -> WorkerOutput {
-    // Per-worker tool: own CondCtx/interner/macro table/L1 header cache
-    // over the shared tree. Reused across this worker's units so header
-    // caching matches the sequential driver. The shared L2 cache (if any)
-    // is attached so this worker can reuse files other workers lexed.
-    let make_tool = || {
-        let mut tool = SuperC::new(options.clone(), fs);
-        if let Some(cache) = &shared {
+    /// Keyed by the whole profile, not its name: a caller may build a
+    /// same-named profile with different built-ins.
+    tools: Vec<(Profile, SuperC<G>)>,
+}
+
+impl<G: FileSystem + Clone> Worker<G> {
+    fn new(options: Options, fs: G, shared: Option<Arc<SharedCache>>) -> Self {
+        Worker {
+            options,
+            fs,
+            shared,
+            tools: Vec::new(),
+        }
+    }
+
+    /// A fresh tool for `profile`: only the mutable layer (BDD manager,
+    /// interner, macro table, L1 cache, engine state) is new; the shared
+    /// artifacts and the L2 cache are reused.
+    fn build(&self, profile: &Profile) -> SuperC<G> {
+        let mut options = self.options.clone();
+        options.pp.profile = profile.clone();
+        let mut tool = SuperC::new(options, self.fs.clone());
+        if let Some(cache) = &self.shared {
             tool.set_shared_cache(cache.clone());
         }
         tool
-    };
-    let mut tool = make_tool();
-    let mut out = Vec::new();
-    // One-shot workers never see a second batch, so there is no memo to
-    // consult: pass `None` and leave the counters at zero.
-    let (mut hits, mut misses) = (0, 0);
-    claim_loop(
-        &mut tool,
-        &make_tool,
-        units,
-        copts,
-        None,
-        cursor,
-        chunk,
-        &mut out,
-        &mut hits,
-        &mut misses,
-    );
-    WorkerOutput {
-        units: out,
-        cond: tool.ctx().stats(),
-        bdd: tool.ctx().bdd_stats(),
-        memo_hits: hits,
-        memo_misses: misses,
-    }
-}
-
-/// The cross-profile corpus rollup: one [`CorpusReport`] per profile,
-/// parallel to `profiles` and each in unit input order, sharing one
-/// wall clock (the runs are interleaved over one worker pool, not
-/// sequential).
-#[derive(Clone, Debug)]
-pub struct ProfilesReport {
-    /// Profile names, in run order (the order given to
-    /// [`process_corpus_profiles`]).
-    pub profiles: Vec<String>,
-    /// One full corpus report per profile, parallel to `profiles`.
-    pub runs: Vec<CorpusReport>,
-    /// Worker threads actually used (shared across all profiles).
-    pub workers: usize,
-    /// End-to-end wall clock for the whole cross-profile run.
-    pub wall: Duration,
-}
-
-impl ProfilesReport {
-    /// Units with a fatal failure under *any* profile.
-    pub fn fatal_units(&self) -> usize {
-        let n_units = self.runs.first().map_or(0, |r| r.units.len());
-        (0..n_units)
-            .filter(|&u| self.runs.iter().any(|r| r.units[u].fatal.is_some()))
-            .count()
     }
 
-    /// Per-profile behavior counters, one line each (`name: counters`).
-    /// Byte-identical for any worker count or schedule, like
-    /// [`CorpusReport::behavior_counters`].
-    pub fn behavior_counters(&self) -> String {
-        self.profiles
-            .iter()
-            .zip(&self.runs)
-            .map(|(name, run)| format!("{name}: {}", run.behavior_counters()))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Merges the per-profile runs into one deterministic lint report:
+    /// The claim loop: pull chunks of tasks off the batch cursor until
+    /// the grid is exhausted. In warm mode each task first consults the
+    /// result memo — a hit replays the cached report and skips the
+    /// pipeline — and each recomputed unit is stored back with the
+    /// include-closure fingerprint the preprocessor just observed.
     ///
-    /// * ordinary lint records that are byte-identical across profiles
-    ///   collapse into one row stamped with the profile set they fired
-    ///   under (in run order);
-    /// * each unit's per-profile portability slices are diffed by
-    ///   [`diff_profiles`] into the `portability-*` records, with a
-    ///   synthetic row per fatal unit so a unit that dies under only
-    ///   some profiles surfaces as a divergence;
-    /// * everything is sorted by [`sort_records`]'s total order.
-    ///
-    /// Conditions cross profiles as canonical strings and are re-ORed in
-    /// a scratch BDD context, so the result is byte-identical for any
-    /// `jobs`, cache, or fast-path setting.
-    pub fn lint_records(&self, opts: &superc_analyze::LintOptions) -> Vec<superc_analyze::Record> {
-        type Key = (&'static str, &'static str, String, u32, u32, String, String);
-        let mut merged: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
-        for (p, run) in self.runs.iter().enumerate() {
-            for unit in &run.units {
-                for r in &unit.lints {
-                    let key = (
-                        r.code,
-                        r.level,
-                        r.file.clone(),
-                        r.line,
-                        r.col,
-                        r.cond.clone(),
-                        r.message.clone(),
-                    );
-                    let ps = merged.entry(key).or_default();
-                    if ps.last() != Some(&p) {
-                        ps.push(p);
+    /// A panic inside the pipeline becomes a structured failure row
+    /// instead of unwinding through the thread join, and since the tool
+    /// may hold arbitrary mid-unit state, that profile's tool is rebuilt.
+    fn run(&mut self, batch: &Batch) -> WorkerOutput {
+        let n_units = batch.units.len();
+        let n_tasks = n_units * batch.profiles.len();
+        let mut out = WorkerOutput {
+            units: Vec::new(),
+            cond: CondStats::default(),
+            bdd: None,
+            memo_hits: 0,
+            memo_misses: 0,
+        };
+        loop {
+            let base = batch.cursor.fetch_add(batch.chunk, Ordering::Relaxed);
+            if base >= n_tasks {
+                break;
+            }
+            for t in base..(base + batch.chunk).min(n_tasks) {
+                let (p, path) = (t / n_units, &batch.units[t % n_units]);
+                let profile = &batch.profiles[p];
+                let memo = batch.memo.as_ref().map(|(memo, sigs)| (memo, sigs[p]));
+                let slot = match self.tools.iter().position(|(q, _)| q == profile) {
+                    Some(slot) => slot,
+                    None => {
+                        self.tools.push((profile.clone(), self.build(profile)));
+                        self.tools.len() - 1
                     }
+                };
+                let tool = &mut self.tools[slot].1;
+                if let Some((memo, sig)) = memo {
+                    if let Some(hit) = memo.lookup(path, sig, &|q| tool.preprocessor().dep_hash(q))
+                    {
+                        out.memo_hits += 1;
+                        out.units.push((t, hit));
+                        continue;
+                    }
+                    out.memo_misses += 1;
                 }
+                let report = match firewalled(|| process_one(tool, path, &batch.copts)) {
+                    Ok(report) => {
+                        if let Some((memo, sig)) = memo {
+                            let pp = tool.preprocessor();
+                            memo.store(path, sig, pp.unit_deps(), pp.unit_neg_deps(), &report);
+                        }
+                        report
+                    }
+                    Err(message) => {
+                        self.tools[slot].1 = self.build(profile);
+                        UnitReport::failed(path, "panic", &format!("panic: {message}"))
+                    }
+                };
+                out.units.push((t, report));
             }
         }
-        let mut out: Vec<superc_analyze::Record> = merged
-            .into_iter()
-            .map(|((code, level, file, line, col, cond, message), ps)| {
-                let profiles = ps
-                    .iter()
-                    .map(|&p| self.profiles[p].as_str())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                superc_analyze::Record {
-                    code,
-                    level,
-                    file,
-                    line,
-                    col,
-                    cond,
-                    message,
-                    profiles,
-                }
-            })
-            .collect();
-
-        // Portability diffs, one unit at a time. Conditions are lifted
-        // from canonical strings into a scratch context to OR them.
-        let ctx = CondCtx::new(CondBackend::Bdd);
-        let n_units = self.runs.first().map_or(0, |r| r.units.len());
-        for u in 0..n_units {
-            // Slices are borrowed; only a failed unit builds an owned
-            // copy, to carry its synthetic fatal row.
-            let fatal: Vec<Option<Vec<PortEntry>>> = self
-                .runs
-                .iter()
-                .map(|run| {
-                    let unit = &run.units[u];
-                    unit.failure.as_ref().map(|f| {
-                        // A unit fatal under this profile only is the
-                        // bluntest divergence; give it a row to diff.
-                        let mut slice = unit.portability.to_vec();
-                        slice.push(PortEntry {
-                            kind: PortKind::Diag,
-                            key: format!("unit {}: fatal {}", unit.path, f.stage),
-                            file: unit.path.clone(),
-                            line: 0,
-                            col: 0,
-                            state: f.message.clone(),
-                            cond: "true".to_string(),
-                        });
-                        slice
-                    })
-                })
-                .collect();
-            let slices: Vec<&[PortEntry]> = self
-                .runs
-                .iter()
-                .zip(&fatal)
-                .map(|(run, f)| f.as_deref().unwrap_or(&run.units[u].portability))
-                .collect();
-            out.extend(diff_profiles(&self.profiles, &slices, opts, &ctx));
+        // Cond/BDD gauges span every tool this worker holds and, in a
+        // pool, its whole lifetime (the managers persist across
+        // batches); they are outside the determinism contract either way.
+        for (_, tool) in &self.tools {
+            out.cond.merge(&tool.ctx().stats());
+            if let Some(b) = tool.ctx().bdd_stats() {
+                out.bdd.get_or_insert_with(BddStats::default).merge(&b);
+            }
         }
-        sort_records(&mut out);
         out
     }
 }
 
-/// Parses every unit of a corpus under every [`Profile`], fanning the
-/// `units × profiles` task grid out over one worker pool.
-///
-/// Profile runs are scheduled like extra units: one shared cursor walks
-/// task indices `t = p * units.len() + u`, so workers interleave
-/// profiles instead of running them sequentially, and a slow unit under
-/// one profile never stalls the others. Each worker keeps one warm tool
-/// *per profile it has touched* (lazily built — a worker that never
-/// claims an `msvc-windows` task never pays for its tool) and all tools
-/// share one L2 preprocessing cache: frozen token streams, directive
-/// trees, and guards are pre-expansion artifacts, identical under every
-/// profile.
-///
-/// [`CorpusOptions::portability`] is forced on — the per-unit slices
-/// are what [`ProfilesReport::lint_records`] diffs. The determinism
-/// contract of [`process_corpus`] carries over per profile run.
-pub fn process_corpus_profiles<F: FileSystem + Sync>(
-    fs: &F,
-    units: &[String],
-    options: &Options,
-    profiles: &[Profile],
-    copts: &CorpusOptions,
-) -> ProfilesReport {
-    assert!(!profiles.is_empty(), "at least one profile");
-    let n_tasks = units.len() * profiles.len();
-    let requested = if copts.jobs == 0 {
-        default_jobs()
-    } else {
-        copts.jobs
-    };
-    let workers = requested.min(n_tasks).max(1);
-    let mut copts = copts.clone();
-    copts.portability = true;
-
-    let shared: Option<Arc<SharedCache>> =
-        (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
-
-    let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(n_tasks, workers);
-    let outputs: Vec<WorkerOutput> = if workers == 1 {
-        vec![profiles_worker_loop(
-            fs,
-            units,
-            options,
-            profiles,
-            &copts,
-            shared.clone(),
-            &cursor,
-            chunk,
-        )]
-    } else {
-        std::thread::scope(|s| {
-            let copts = &copts;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let shared = shared.clone();
-                    s.spawn(|| {
-                        profiles_worker_loop(
-                            fs, units, options, profiles, copts, shared, &cursor, chunk,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("corpus worker panicked"))
-                .collect()
-        })
-    };
-    let wall = start.elapsed();
-    let mut report = assemble_profiles(units.len(), profiles, outputs, workers, wall);
-    if let (Some(s), Some(run0)) = (&shared, report.runs.first_mut()) {
-        run0.files_rehashed = s.rehashes();
-    }
-    report
-}
-
-/// The cross-profile analogue of [`claim_loop`]: one cursor over the
-/// `units × profiles` grid, lazy per-profile tools, and a panic
-/// firewall that rebuilds only the poisoned profile's tool. `memo`
-/// carries one options signature *per profile* (the profile is part of
-/// the signature), so a warm grid replays per-profile results
-/// independently.
-#[allow(clippy::too_many_arguments)]
-fn profiles_claim_loop<F: FileSystem>(
-    tools: &mut HashMap<String, SuperC<F>>,
-    make_tool: &dyn Fn(usize) -> SuperC<F>,
-    units: &[String],
-    profiles: &[Profile],
-    copts: &CorpusOptions,
-    memo: Option<(&UnitMemo, &[u64])>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-    out: &mut Vec<(usize, UnitReport)>,
-    memo_hits: &mut u64,
-    memo_misses: &mut u64,
-) {
-    let n_tasks = units.len() * profiles.len();
-    loop {
-        let base = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if base >= n_tasks {
-            break;
-        }
-        let end = (base + chunk).min(n_tasks);
-        for t in base..end {
-            let (p, u) = (t / units.len(), t % units.len());
-            let path = &units[u];
-            let name = &profiles[p].name;
-            let tool = tools.entry(name.clone()).or_insert_with(|| make_tool(p));
-            if let Some((memo, sigs)) = memo {
-                if let Some(hit) = memo.lookup(path, sigs[p], &|q| tool.preprocessor().dep_hash(q))
-                {
-                    *memo_hits += 1;
-                    out.push((t, hit));
-                    continue;
-                }
-                *memo_misses += 1;
-            }
-            let report = match firewalled(|| process_one(tool, path, copts)) {
-                Ok(report) => report,
-                Err(message) => {
-                    tools.insert(name.clone(), make_tool(p));
-                    UnitReport::failed(path, "panic", &format!("panic: {message}"))
-                }
-            };
-            if let Some((memo, sigs)) = memo {
-                let (deps, neg_deps) = tools
-                    .get(name)
-                    .map(|tool| {
-                        (
-                            tool.preprocessor().unit_deps(),
-                            tool.preprocessor().unit_neg_deps(),
-                        )
-                    })
-                    .unwrap_or_default();
-                memo.store(path, sigs[p], deps, neg_deps, &report);
-            }
-            out.push((t, report));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn profiles_worker_loop<F: FileSystem + Sync>(
-    fs: &F,
-    units: &[String],
-    options: &Options,
-    profiles: &[Profile],
-    copts: &CorpusOptions,
-    shared: Option<Arc<SharedCache>>,
-    cursor: &AtomicUsize,
-    chunk: usize,
-) -> WorkerOutput {
-    let make_tool = |p: usize| {
-        let mut opts = options.clone();
-        opts.pp.profile = profiles[p].clone();
-        let mut tool = SuperC::new(opts, fs);
-        if let Some(cache) = &shared {
-            tool.set_shared_cache(cache.clone());
-        }
-        tool
-    };
-    let mut tools: HashMap<String, SuperC<&F>> = HashMap::new();
-    let mut out = Vec::new();
-    let (mut hits, mut misses) = (0, 0);
-    profiles_claim_loop(
-        &mut tools,
-        &make_tool,
-        units,
-        profiles,
-        copts,
-        None,
-        cursor,
-        chunk,
-        &mut out,
-        &mut hits,
-        &mut misses,
-    );
-    let (cond, bdd) = drain_tool_stats(tools.values());
-    WorkerOutput {
-        units: out,
-        cond,
-        bdd,
-        memo_hits: hits,
-        memo_misses: misses,
-    }
-}
-
-/// Sums the condition-context gauges over a worker's per-profile tools.
-fn drain_tool_stats<'a, F: FileSystem + 'a>(
-    tools: impl Iterator<Item = &'a SuperC<F>>,
-) -> (CondStats, Option<BddStats>) {
-    let mut cond = CondStats::default();
-    let mut bdd: Option<BddStats> = None;
-    for tool in tools {
-        cond.merge(&tool.ctx().stats());
-        if let Some(b) = tool.ctx().bdd_stats() {
-            bdd.get_or_insert_with(BddStats::default).merge(&b);
-        }
-    }
-    (cond, bdd)
-}
-
-/// Splits task-indexed worker outputs back into per-profile reports, in
-/// unit input order within each profile. Context gauges are per-worker
-/// and span all profiles, so they land on profile 0's run (they are
-/// outside the determinism contract either way); the per-profile
-/// preprocessor/parser counters are exact sums over that profile's
-/// units.
-fn assemble_profiles(
-    n_units: usize,
-    profiles: &[Profile],
+/// Splits task-indexed worker outputs back into one report per profile,
+/// each in unit input order: every task was claimed exactly once, and
+/// every merged counter is a sum or max, so the result is
+/// schedule-independent. Context gauges, memo counters, and
+/// `files_rehashed` are per-worker or per-batch and span all profiles,
+/// so they land on profile 0's run (they are outside the determinism
+/// contract either way); the per-profile preprocessor/parser counters
+/// are exact sums over that profile's units.
+fn assemble(
+    batch: &Batch,
     outputs: Vec<WorkerOutput>,
-    workers: usize,
     wall: Duration,
-) -> ProfilesReport {
-    let n_tasks = n_units * profiles.len();
-    let mut slots: Vec<Option<UnitReport>> = (0..n_tasks).map(|_| None).collect();
+    files_rehashed: u64,
+) -> Vec<CorpusReport> {
+    let n_units = batch.units.len();
+    let mut slots: Vec<Option<UnitReport>> =
+        (0..n_units * batch.profiles.len()).map(|_| None).collect();
     let mut cond = CondStats::default();
     let mut bdd: Option<BddStats> = None;
-    let mut memo_hits = 0u64;
-    let mut memo_misses = 0u64;
+    let (mut memo_hits, mut memo_misses) = (0, 0);
     for out in outputs {
         for (t, report) in out.units {
             debug_assert!(slots[t].is_none(), "task {t} claimed twice");
@@ -1116,64 +920,72 @@ fn assemble_profiles(
         memo_misses += out.memo_misses;
     }
     let mut slots = slots.into_iter();
-    let mut runs = Vec::with_capacity(profiles.len());
-    for p in 0..profiles.len() {
-        let units: Vec<UnitReport> = (&mut slots)
-            .take(n_units)
-            .map(|s| s.expect("every task claimed"))
-            .collect();
-        let mut pp = PpStats::default();
-        let mut parse = ParseStats::default();
-        for u in &units {
-            pp.merge(&u.pp);
-            parse.merge(&u.parse);
-        }
-        // Memo counters span the whole grid (workers interleave
-        // profiles), so like the context gauges they land on profile
-        // 0's run.
-        runs.push(CorpusReport {
-            units,
-            pp,
-            parse,
-            cond: if p == 0 { cond } else { CondStats::default() },
-            bdd: if p == 0 { bdd } else { None },
-            workers,
-            wall,
-            unit_memo_hits: if p == 0 { memo_hits } else { 0 },
-            unit_memo_misses: if p == 0 { memo_misses } else { 0 },
-            files_rehashed: 0,
-        });
-    }
-    ProfilesReport {
-        profiles: profiles.iter().map(|p| p.name.clone()).collect(),
-        runs,
-        workers,
-        wall,
-    }
+    (0..batch.profiles.len())
+        .map(|p| {
+            let units: Vec<UnitReport> = (&mut slots)
+                .take(n_units)
+                .map(|s| s.expect("every task claimed"))
+                .collect();
+            let mut pp = PpStats::default();
+            let mut parse = ParseStats::default();
+            for u in &units {
+                pp.merge(&u.pp);
+                parse.merge(&u.parse);
+            }
+            let first = p == 0;
+            CorpusReport {
+                units,
+                pp,
+                parse,
+                cond: if first { cond } else { CondStats::default() },
+                bdd: if first { bdd } else { None },
+                workers: batch.workers,
+                wall,
+                unit_memo_hits: if first { memo_hits } else { 0 },
+                unit_memo_misses: if first { memo_misses } else { 0 },
+                files_rehashed: if first { files_rehashed } else { 0 },
+            }
+        })
+        .collect()
 }
 
-/// One batch of work for a pooled worker: the unit list, the shared
-/// cursor, and the channel to report back on. `profiles` switches the
-/// batch into cross-profile mode (the task grid of
-/// [`process_corpus_profiles`]); `memo` switches it into warm mode
-/// (consult/fill the pool's unit result memo).
-struct Batch {
-    units: Arc<Vec<String>>,
+/// The scoped launcher behind [`process_corpus`] and
+/// [`process_corpus_profiles`]: one batch over a borrowed tree, with
+/// workers spun up and torn down inside the call and no memo (it would
+/// never carry across calls).
+fn run_scoped<F: FileSystem + Sync>(
+    fs: &F,
+    units: &[String],
+    options: &Options,
+    profiles: &[Profile],
     copts: CorpusOptions,
-    cursor: Arc<AtomicUsize>,
-    chunk: usize,
-    profiles: Option<Arc<Vec<Profile>>>,
-    memo: Option<MemoCtx>,
-    done: mpsc::Sender<WorkerOutput>,
-}
-
-/// The warm-mode context a batch carries to every worker: the pool's
-/// result memo and the per-profile options signatures (one entry for a
-/// plain batch, one per profile for a grid batch).
-#[derive(Clone)]
-struct MemoCtx {
-    memo: Arc<UnitMemo>,
-    sigs: Arc<Vec<u64>>,
+) -> Vec<CorpusReport> {
+    // One shared artifact cache for the whole call; every worker gets a
+    // clone of the same `Arc`. The cache is content-hash keyed (see
+    // `superc_cpp::sharedcache` for the invalidation protocol), but a
+    // one-shot run never leaves its first generation: files only change
+    // at batch boundaries, and this launcher runs exactly one batch.
+    let shared: Option<Arc<SharedCache>> =
+        (!copts.no_shared_cache).then(|| Arc::new(SharedCache::new()));
+    let start = Instant::now();
+    let jobs = copts.jobs;
+    let batch = Batch::new(units, profiles, copts, jobs, None);
+    let work = || Worker::new(options.clone(), fs, shared.clone()).run(&batch);
+    let outputs: Vec<WorkerOutput> = if batch.workers == 1 {
+        // A lone worker stays on the caller's thread (and its stack).
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..batch.workers).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("corpus worker panicked"))
+                .collect()
+        })
+    };
+    let wall = start.elapsed();
+    let files_rehashed = shared.as_ref().map_or(0, |s| s.rehashes());
+    assemble(&batch, outputs, wall, files_rehashed)
 }
 
 /// A persistent pool of corpus workers, reused across batches.
@@ -1209,7 +1021,7 @@ struct MemoCtx {
 /// ```
 pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     jobs: usize,
-    txs: Vec<mpsc::Sender<Batch>>,
+    txs: Vec<mpsc::Sender<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// The pool-wide L2 cache (`None` for `no_shared_cache` pools); the
     /// runner bumps its generation at every batch boundary so workers
@@ -1218,17 +1030,17 @@ pub struct CorpusRunner<F: FileSystem + Send + Sync + 'static> {
     /// The pool's unit result memo, filled and consulted by warm
     /// batches ([`CorpusOptions::warm`]).
     memo: Arc<UnitMemo>,
-    /// The pool's base options, kept to compute per-batch options
-    /// signatures for the memo.
+    /// The pool's base options: the profile of plain batches, and the
+    /// rest of every batch's memo signatures.
     options: Options,
     _fs: std::marker::PhantomData<F>,
 }
 
 impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
     /// Spawns a pool of `jobs` workers (`0` means [`default_jobs`]) over
-    /// `fs`. Each worker immediately builds its mutable layer (tool over
-    /// `Arc<F>`, attached to one pool-wide shared L2 cache unless
-    /// `no_shared_cache`) and then waits for batches.
+    /// `fs`, all attached to one pool-wide shared L2 cache unless
+    /// `no_shared_cache`. Each worker builds a tool the first time it
+    /// claims a task of that profile, and keeps it across batches.
     pub fn new(options: &Options, fs: Arc<F>, jobs: usize, no_shared_cache: bool) -> Self {
         let jobs = if jobs == 0 { default_jobs() } else { jobs };
         let shared: Option<Arc<SharedCache>> =
@@ -1236,95 +1048,25 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         let mut txs = Vec::with_capacity(jobs);
         let mut handles = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            let (tx, rx) = mpsc::channel::<Batch>();
+            let (tx, rx) = mpsc::channel::<(Arc<Batch>, mpsc::Sender<WorkerOutput>)>();
             let options = options.clone();
             let fs = fs.clone();
             let shared = shared.clone();
             handles.push(std::thread::spawn(move || {
-                let make_tool = || {
-                    let mut tool = SuperC::new(options.clone(), fs.clone());
-                    if let Some(cache) = &shared {
-                        tool.set_shared_cache(cache.clone());
-                    }
-                    tool
-                };
-                let mut tool = make_tool();
-                // Cross-profile batches get their own warm tools, one
-                // per profile this worker has touched, kept across
-                // batches like the base tool.
-                let mut profile_tools: HashMap<String, SuperC<Arc<F>>> = HashMap::new();
-                while let Ok(batch) = rx.recv() {
+                let mut worker = Worker::new(options, fs, shared);
+                while let Ok((batch, done)) = rx.recv() {
                     // Without a shared cache there is no generation
                     // protocol, so the only edit-correct stance for a
                     // pool that may see the tree change between batches
                     // is to drop every worker's L1 header cache at the
                     // boundary. Output-neutral: an L1 hit and a fresh
                     // lex credit files/bytes identically.
-                    if shared.is_none() {
-                        tool.invalidate_file_cache();
-                        for t in profile_tools.values_mut() {
-                            t.invalidate_file_cache();
+                    if worker.shared.is_none() {
+                        for (_, tool) in &mut worker.tools {
+                            tool.invalidate_file_cache();
                         }
                     }
-                    let mut out = Vec::new();
-                    let (mut hits, mut misses) = (0, 0);
-                    match &batch.profiles {
-                        Some(profiles) => {
-                            let make_profile_tool = |p: usize| {
-                                let mut opts = options.clone();
-                                opts.pp.profile = profiles[p].clone();
-                                let mut tool = SuperC::new(opts, fs.clone());
-                                if let Some(cache) = &shared {
-                                    tool.set_shared_cache(cache.clone());
-                                }
-                                tool
-                            };
-                            let memo = batch.memo.as_ref().map(|m| (&*m.memo, &m.sigs[..]));
-                            profiles_claim_loop(
-                                &mut profile_tools,
-                                &make_profile_tool,
-                                &batch.units,
-                                profiles,
-                                &batch.copts,
-                                memo,
-                                &batch.cursor,
-                                batch.chunk,
-                                &mut out,
-                                &mut hits,
-                                &mut misses,
-                            );
-                        }
-                        None => {
-                            let memo = batch.memo.as_ref().map(|m| (&*m.memo, m.sigs[0]));
-                            claim_loop(
-                                &mut tool,
-                                &make_tool,
-                                &batch.units,
-                                &batch.copts,
-                                memo,
-                                &batch.cursor,
-                                batch.chunk,
-                                &mut out,
-                                &mut hits,
-                                &mut misses,
-                            )
-                        }
-                    }
-                    // Cond/BDD gauges are worker-lifetime cumulative
-                    // here (the manager persists across batches); they
-                    // are outside the determinism contract either way.
-                    let (mut cond, mut bdd) = drain_tool_stats(profile_tools.values());
-                    cond.merge(&tool.ctx().stats());
-                    if let Some(b) = tool.ctx().bdd_stats() {
-                        bdd.get_or_insert_with(BddStats::default).merge(&b);
-                    }
-                    let _ = batch.done.send(WorkerOutput {
-                        units: out,
-                        cond,
-                        bdd,
-                        memo_hits: hits,
-                        memo_misses: misses,
-                    });
+                    let _ = done.send(worker.run(&batch));
                 }
             }));
             txs.push(tx);
@@ -1352,73 +1094,14 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         self.shared.as_ref()
     }
 
-    /// Starts a new batch: bump the shared-cache generation so every
-    /// worker revalidates its cached view of the (possibly edited) file
-    /// tree, and record the rehash baseline for this batch's
-    /// `files_rehashed` gauge. Returns the warm-mode memo context when
-    /// the batch asked for one.
-    fn start_batch(&self, copts: &CorpusOptions, sigs: Vec<u64>) -> (Option<MemoCtx>, u64) {
-        let rehash_base = match &self.shared {
-            Some(s) => {
-                s.next_generation();
-                s.rehashes()
-            }
-            None => 0,
-        };
-        let memo = (copts.warm && self.shared.is_some()).then(|| MemoCtx {
-            memo: self.memo.clone(),
-            sigs: Arc::new(sigs),
-        });
-        (memo, rehash_base)
-    }
-
-    /// Ends a batch: sweep dead artifacts out of the L2 after warm
-    /// batches (cold pools churn no hashes, so there is nothing to
-    /// evict and the sweep would be pure overhead), and return this
-    /// batch's rehash count.
-    fn finish_batch(&self, copts: &CorpusOptions, rehash_base: u64) -> u64 {
-        match &self.shared {
-            Some(s) => {
-                let rehashed = s.rehashes() - rehash_base;
-                if copts.warm {
-                    s.sweep();
-                }
-                rehashed
-            }
-            None => 0,
-        }
-    }
-
     /// Runs one batch over the pool and reassembles the report in input
     /// order. Batches beyond the first reuse warm workers; a batch
     /// smaller than the pool leaves the excess workers idle.
     pub fn run(&mut self, units: &[String], copts: &CorpusOptions) -> CorpusReport {
-        let workers = self.jobs.min(units.len()).max(1);
-        let start = Instant::now();
-        let (memo, rehash_base) = self.start_batch(copts, vec![options_sig(&self.options, copts)]);
-        let shared_units = Arc::new(units.to_vec());
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let chunk = chunk_size(units.len(), workers);
-        let (done_tx, done_rx) = mpsc::channel();
-        for tx in self.txs.iter().take(workers) {
-            tx.send(Batch {
-                units: shared_units.clone(),
-                copts: copts.clone(),
-                cursor: cursor.clone(),
-                chunk,
-                profiles: None,
-                memo: memo.clone(),
-                done: done_tx.clone(),
-            })
-            .expect("pool worker alive");
-        }
-        drop(done_tx);
-        let outputs: Vec<WorkerOutput> = done_rx.iter().collect();
-        assert_eq!(outputs.len(), workers, "pool worker died mid-batch");
-        let wall = start.elapsed();
-        let mut report = assemble(units.len(), outputs, workers, wall);
-        report.files_rehashed = self.finish_batch(copts, rehash_base);
-        report
+        let profiles = [self.options.pp.profile.clone()];
+        self.launch(units, &profiles, copts.clone())
+            .pop()
+            .expect("one profile, one report")
     }
 
     /// Runs one cross-profile batch over the pool: the task grid and
@@ -1433,51 +1116,61 @@ impl<F: FileSystem + Send + Sync + 'static> CorpusRunner<F> {
         copts: &CorpusOptions,
     ) -> ProfilesReport {
         assert!(!profiles.is_empty(), "at least one profile");
-        let n_tasks = units.len() * profiles.len();
-        let workers = self.jobs.min(n_tasks).max(1);
-        let mut copts = copts.clone();
-        copts.portability = true;
+        let copts = CorpusOptions {
+            portability: true,
+            ..copts.clone()
+        };
+        ProfilesReport::new(profiles, self.launch(units, profiles, copts))
+    }
+
+    /// The pooled launcher: one batch over the pool's workers.
+    ///
+    /// The batch starts a new shared-cache generation, so every worker
+    /// revalidates its cached view of the (possibly edited) file tree,
+    /// and records the rehash baseline for the batch's `files_rehashed`
+    /// gauge. Warm batches sweep dead artifacts out of the L2 at the end
+    /// (cold pools churn no hashes, so the sweep would be pure overhead).
+    fn launch(
+        &mut self,
+        units: &[String],
+        profiles: &[Profile],
+        copts: CorpusOptions,
+    ) -> Vec<CorpusReport> {
         let start = Instant::now();
-        // One signature per profile: the profile is part of each
-        // signature (it changes output), and everything else —
-        // including the forced `portability` above — is identical
-        // across the row.
-        let sigs: Vec<u64> = profiles
-            .iter()
-            .map(|p| {
-                let mut opts = self.options.clone();
-                opts.pp.profile = p.clone();
-                options_sig(&opts, &copts)
-            })
-            .collect();
-        let (memo, rehash_base) = self.start_batch(&copts, sigs);
-        let shared_units = Arc::new(units.to_vec());
-        let shared_profiles = Arc::new(profiles.to_vec());
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let chunk = chunk_size(n_tasks, workers);
+        let rehash_base = self.shared.as_ref().map_or(0, |s| {
+            s.next_generation();
+            s.rehashes()
+        });
+        let warm = copts.warm && self.shared.is_some();
+        let memo = warm.then(|| {
+            let sigs = profiles
+                .iter()
+                .map(|p| {
+                    let mut options = self.options.clone();
+                    options.pp.profile = p.clone();
+                    options_sig(&options, &copts)
+                })
+                .collect();
+            (self.memo.clone(), sigs)
+        });
+        let batch = Arc::new(Batch::new(units, profiles, copts, self.jobs, memo));
         let (done_tx, done_rx) = mpsc::channel();
-        for tx in self.txs.iter().take(workers) {
-            tx.send(Batch {
-                units: shared_units.clone(),
-                copts: copts.clone(),
-                cursor: cursor.clone(),
-                chunk,
-                profiles: Some(shared_profiles.clone()),
-                memo: memo.clone(),
-                done: done_tx.clone(),
-            })
-            .expect("pool worker alive");
+        for tx in self.txs.iter().take(batch.workers) {
+            tx.send((batch.clone(), done_tx.clone()))
+                .expect("pool worker alive");
         }
         drop(done_tx);
         let outputs: Vec<WorkerOutput> = done_rx.iter().collect();
-        assert_eq!(outputs.len(), workers, "pool worker died mid-batch");
+        assert_eq!(outputs.len(), batch.workers, "pool worker died mid-batch");
         let wall = start.elapsed();
-        let mut report = assemble_profiles(units.len(), profiles, outputs, workers, wall);
-        let rehashed = self.finish_batch(&copts, rehash_base);
-        if let Some(run0) = report.runs.first_mut() {
-            run0.files_rehashed = rehashed;
-        }
-        report
+        let files_rehashed = self.shared.as_ref().map_or(0, |s| {
+            let rehashed = s.rehashes() - rehash_base;
+            if warm {
+                s.sweep();
+            }
+            rehashed
+        });
+        assemble(&batch, outputs, wall, files_rehashed)
     }
 }
 

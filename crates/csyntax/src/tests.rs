@@ -613,7 +613,9 @@ fn old_style_empty_parameter_functions() {
 /// declared identifier, specifiers flatten in source order.
 #[test]
 fn declared_names_pin_declarator_shapes() {
-    let cases: &[(&str, &[(&str, &str, &str)])] = &[
+    /// One expected declarator: (name, specifiers, shape).
+    type Declared = (&'static str, &'static str, &'static str);
+    let cases: &[(&str, &[Declared])] = &[
         ("int x;\n", &[("x", "int", "$")]),
         (
             "static const unsigned long *p = 0;\n",

@@ -383,6 +383,6 @@ fi
 echo "verify: C API smoke OK"
 
 cargo fmt --all --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 scripts/bench.sh
 echo "verify: OK"

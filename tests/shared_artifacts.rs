@@ -11,13 +11,19 @@
 //!   including warm reruns on the same pool;
 //! * a poisoned worker rebuilds only its mutable layer — the shared
 //!   tables are not rebuilt, and the pool's subsequent output is
-//!   unchanged.
+//!   unchanged;
+//! * plain and cross-profile batches interleave on one pool (sharing
+//!   each worker's tool for the pool's base profile) without either
+//!   leaking state into the other, cold and warm, across an edit, and a
+//!   same-named profile with other built-ins gets a tool of its own.
 
 use std::sync::Arc;
 
 use superc::analyze::LintOptions;
-use superc::corpus::{Capture, CorpusOptions, CorpusReport, CorpusRunner};
-use superc::{MemFs, Options, PpOptions, Profile};
+use superc::corpus::{
+    process_corpus, process_corpus_profiles, Capture, CorpusOptions, CorpusReport, CorpusRunner,
+};
+use superc::{Builtins, FileSystem, MemFs, Options, PpOptions, Profile, SharedMemFs};
 use superc_kernelgen::{generate, Corpus, CorpusSpec};
 
 fn options() -> Options {
@@ -170,4 +176,120 @@ fn poisoned_worker_rebuilds_only_the_mutable_layer() {
     // pre-poisoning run.
     let after = pool.run(&units, &CorpusOptions::default());
     assert_reports_identical(&clean, &after, "post-recovery batch");
+}
+
+/// One pool alternates plain and cross-profile batches, cold and then
+/// warm after a header edit. A plain batch runs on the same per-worker
+/// tool as the grid's same-named profile, so each batch must still be
+/// byte-identical to a fresh one-shot reference over the current tree.
+#[test]
+fn plain_and_grid_batches_interleave_on_one_pool() {
+    let corpus = corpus();
+    let header = corpus
+        .fs
+        .iter()
+        .map(|(path, _)| path)
+        .filter(|path| path.starts_with("include/"))
+        .min()
+        .expect("corpus has headers")
+        .to_string();
+    let profiles: Vec<Profile> = ["gcc-linux", "clang-macos", "msvc-windows"]
+        .iter()
+        .map(|n| Profile::named(n).expect("shipped profile"))
+        .collect();
+    assert_eq!(
+        profiles[0],
+        options().pp.profile,
+        "the grid includes the pool's base profile"
+    );
+    let lopts = LintOptions::default();
+    for jobs in [1, 2] {
+        let fs = Arc::new(SharedMemFs::from_mem(&corpus.fs));
+        let mut pool = CorpusRunner::new(&options(), Arc::clone(&fs), jobs, false);
+        let mut cold_tokens = None;
+        for warm in [false, true] {
+            if warm {
+                let old = fs.read(&header).expect("header exists");
+                fs.set(
+                    &header,
+                    &format!(
+                        "{old}\n#ifdef _WIN32\nint edited_win;\n#else\nint edited_posix;\n#endif\n"
+                    ),
+                );
+            }
+            let copts = CorpusOptions { warm, ..copts() };
+            let plain_ref = process_corpus(&*fs, &corpus.units, &options(), &copts);
+            let grid_ref =
+                process_corpus_profiles(&*fs, &corpus.units, &options(), &profiles, &copts);
+            match cold_tokens {
+                None => cold_tokens = Some(plain_ref.pp.output_tokens),
+                Some(cold) => assert_ne!(
+                    cold, plain_ref.pp.output_tokens,
+                    "jobs={jobs}: the header edit must change the output"
+                ),
+            }
+            for pass in 0..2 {
+                let label = format!("jobs={jobs} warm={warm} pass={pass}");
+                let plain = pool.run(&corpus.units, &copts);
+                assert_reports_identical(&plain_ref, &plain, &format!("{label} plain"));
+                for (ru, pu) in plain_ref.units.iter().zip(&plain.units) {
+                    assert_eq!(
+                        ru.portability, pu.portability,
+                        "{}: {label} plain: portability slice",
+                        ru.path
+                    );
+                }
+
+                let grid = pool.run_profiles(&corpus.units, &profiles, &copts);
+                assert_eq!(
+                    grid_ref.behavior_counters(),
+                    grid.behavior_counters(),
+                    "{label}: grid behavior fingerprints"
+                );
+                for (p, (r, g)) in grid_ref.runs.iter().zip(&grid.runs).enumerate() {
+                    let label = format!("{label} grid profile {p}");
+                    assert_reports_identical(r, g, &label);
+                    for (ru, gu) in r.units.iter().zip(&g.units) {
+                        assert_eq!(
+                            ru.portability, gu.portability,
+                            "{}: {label}: portability slice",
+                            ru.path
+                        );
+                    }
+                }
+                assert_eq!(
+                    grid_ref.lint_records(&lopts),
+                    grid.lint_records(&lopts),
+                    "{label}: merged lint records"
+                );
+
+                // The second warm pass replays from the memo: nothing
+                // changed since the first warm pass of the same shape.
+                if warm && pass == 1 {
+                    assert!(plain.unit_memo_hits > 0, "{label}: plain replays");
+                    assert!(grid.runs[0].unit_memo_hits > 0, "{label}: grid replays");
+                }
+            }
+        }
+    }
+}
+
+/// Workers key their tools by the whole profile: a pool whose base
+/// profile shares its name with a grid profile but not its built-ins
+/// must not run plain batches on the grid profile's tool.
+#[test]
+fn same_named_profiles_with_different_builtins_get_their_own_tools() {
+    let fs = Arc::new(MemFs::new().file(
+        "g.c",
+        "#ifdef __GNUC__\nint gnu;\n#else\nint plain;\n#endif\n",
+    ));
+    let units = vec!["g.c".to_string()];
+    let mut options = Options::default();
+    options.pp.profile = Profile::gcc_linux().with_builtins(Builtins::none());
+    let copts = CorpusOptions::default();
+    let reference = process_corpus(&*fs, &units, &options, &copts);
+    let mut pool = CorpusRunner::new(&options, fs, 1, false);
+    pool.run_profiles(&units, &[Profile::gcc_linux()], &copts);
+    let plain = pool.run(&units, &copts);
+    assert_reports_identical(&reference, &plain, "plain batch after a same-named grid");
 }
